@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from fractions import Fraction
 
 from .entropy import entropy, exceptional_margins, scan_exceptions
 from .errors import RefusalError
@@ -27,7 +28,6 @@ from .measures import (
     hall_sum_partial,
     hall_tail_bounds,
     normalizing_constant,
-    total_mass,
 )
 from .numerics import ONE, iv_div
 from .partitions import enumerate_partitions
@@ -331,9 +331,12 @@ def _verify_hall() -> dict:
             ("ord", s_ord, ord_tail),
         ):
             checks += 1
-            gap_hi = float(inv_f0.hi) - float(total)
-            gap_lo = float(inv_f0.lo) - float(total)
-            if not (gap_hi >= 0.0 and gap_lo <= tail.hi):
+            # Exact: the partial sum stays below the limit and within the
+            # certified tail of it.
+            if not (
+                Fraction(inv_f0.hi) >= total
+                and Fraction(inv_f0.lo) - total <= Fraction(tail.hi)
+            ):
                 failures.append(f"p={p} route={name}")
     return _suite_record("hall", checks, failures)
 

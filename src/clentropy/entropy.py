@@ -36,15 +36,15 @@ from fractions import Fraction
 from .errors import RefusalError
 from .groups import AbelianPGroup, is_prime, pow_le
 from .measures import (
-    MAX_LEVEL,
     CLParams,
     auto_product_depth,
     bound_series_tail,
-    check_enumeration_budget,
     hall_sum_partial,
     hall_tail_bounds,
     level_stats,
     normalizing_constant,
+    pow_p_minus,
+    truncation_level,
 )
 from .numerics import (
     ONE,
@@ -91,49 +91,31 @@ class EntropyResult:
         return self.minus_log_fu, self.weighted_sum
 
 
-def _rate(params: CLParams):
-    return params.u + 1 if params.integral else iv_add(iv_point(params.u), ONE)
-
-
 def _level_floor(u) -> int:
     return 2 + math.ceil(1 / (u + 1))
 
 
-def _class_measure_bound(F: Interval, p: int, u, n: int) -> Interval:
-    """b_n = F_u p^{1-(u+1)n}, an upper bound for any class measure at
-    level n (via #Aut >= p^{n-1})."""
-    from .measures import _pow_p_minus
-
-    rate = u + 1 if isinstance(u, int) and u >= 0 else iv_add(iv_point(u), ONE)
-    return iv_mul(iv_mul(F, iv_from_int(p)), _pow_p_minus(p, rate, n))
-
-
 def _entropy_tail(params: CLParams, F: Interval, N: int) -> Interval:
+    """T(N) enclosed, or [0, inf] when b_{N+1} is not certified below the
+    1/e ceiling (h is then not increasing over the omitted measures)."""
     # h(b_n) = b_n (alpha + beta n) with alpha = -log F_u - log p and
     # beta = (u+1) log p; both in intervals, b_n = (F_u p) p^{-(u+1)n}.
+    rate = params.rate
+    scale = iv_mul(F, iv_from_int(params.p))
+    if not iv_mul(scale, pow_p_minus(params.p, rate, N + 1)).hi < _H_ARG_CEILING:
+        return Interval(0.0, math.inf)
     L = iv_log_int(params.p)
     mlf = iv_neg(iv_log(F))
     alpha = iv_sub(mlf, L)
-    rate = _rate(params)
     beta = iv_mul_scalar(L, float(rate)) if params.integral else iv_mul(rate, L)
-    scale = iv_mul(F, iv_from_int(params.p))
     return bound_series_tail(params.p, rate, N, [alpha, beta], scale)
 
 
-def _choose_level(params: CLParams, F: Interval, eps: float) -> tuple[int, Interval]:
-    N = _level_floor(params.u)
-    while True:
-        if N > MAX_LEVEL:
-            raise RefusalError(
-                f"entropy tail cannot be pushed below {eps / 2:g} by level "
-                f"{MAX_LEVEL} at p={params.p}, u={params.u}"
-            )
-        if _class_measure_bound(F, params.p, params.u, N + 1).hi < _H_ARG_CEILING:
-            tail = _entropy_tail(params, F, N)
-            if tail.hi <= eps / 2:
-                check_enumeration_budget(N)
-                return N, tail
-        N += 1
+def _un_log(params: CLParams, L: Interval, n: int) -> Interval:
+    """u n log p: one product at integral u, two at interval u."""
+    if params.integral:
+        return iv_mul_scalar(L, float(params.u * n))
+    return iv_mul(params.exponent, iv_mul_scalar(L, float(n)))
 
 
 def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
@@ -150,19 +132,17 @@ def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     J = auto_product_depth(p, params.u, eps / 16)
     F = normalizing_constant(params, J)
     mlf = iv_neg(iv_log(F))
-    N, tail = _choose_level(params, F, eps)
+    N, tail = truncation_level(
+        lambda n: _entropy_tail(params, F, n), None, eps / 2,
+        _level_floor(params.u), "entropy", f"p={p}, u={params.u}",
+    )
 
     L = iv_log_int(p)
     acc = ZERO
     for n in range(1, N + 1):
         r_iv, s_iv = level_stats(p, n)
-        if params.integral:
-            pw = iv_recip_int(p ** (params.u * n))
-            un_log = iv_mul_scalar(L, float(params.u * n))
-        else:
-            u_iv = iv_point(params.u)
-            pw = iv_exp(iv_neg(iv_mul(u_iv, iv_mul_scalar(L, float(n)))))
-            un_log = iv_mul(u_iv, iv_mul_scalar(L, float(n)))
+        pw = pow_p_minus(p, params.exponent, n)
+        un_log = _un_log(params, L, n)
         acc = iv_add(acc, iv_mul(pw, iv_add(iv_mul(un_log, r_iv), s_iv)))
     ws_value = iv_mul(F, acc)
     weighted_sum = CertifiedValue(ws_value, N, tail.hi)
@@ -195,25 +175,19 @@ def entropy_by_definition(params: CLParams, N: int, J: int = 64) -> CertifiedVal
             f"truncation level {N} is below the validity floor {floor} for "
             f"u={params.u} (omitted class measures must stay below 1/e)"
         )
-    if not _class_measure_bound(F, p, params.u, N + 1).hi < _H_ARG_CEILING:
+    N, tail = truncation_level(lambda n: _entropy_tail(params, F, n), N)
+    if tail.hi == math.inf:
         raise RefusalError(
             f"class-measure bound at level {N + 1} is not below 1/e; "
             f"increase the truncation level"
         )
-    check_enumeration_budget(N)
-    tail = _entropy_tail(params, F, N)
     mlf = iv_neg(iv_log(F))
     L = iv_log_int(p)
     acc = mlf  # trivial group: h(F_u) = F_u (-log F_u), the F_u folds below
     for n in range(1, N + 1):
         r_iv, s_iv = level_stats(p, n)
-        if params.integral:
-            pw = iv_recip_int(p ** (params.u * n))
-            un_log = iv_mul_scalar(L, float(params.u * n))
-        else:
-            u_iv = iv_point(params.u)
-            pw = iv_exp(iv_neg(iv_mul(u_iv, iv_mul_scalar(L, float(n)))))
-            un_log = iv_mul(u_iv, iv_mul_scalar(L, float(n)))
+        pw = pow_p_minus(p, params.exponent, n)
+        un_log = _un_log(params, L, n)
         level = iv_mul(pw, iv_add(iv_mul(iv_add(mlf, un_log), r_iv), s_iv))
         acc = iv_add(acc, level)
     value = iv_add(iv_mul(F, acc), Interval(0.0, tail.hi))
@@ -252,13 +226,11 @@ def entropy_upper_bound(params: CLParams, N: int = 30, K: int = 48) -> Interval:
             first = iv_add(first, iv_div(iv_recip_int(k), denom))
     # sum_{k>K} 1/(k (p^k-1) p^{ku}) <= p^{-(K+1)(u+1)} /
     #   ((K+1)(1-p^{-(K+1)})(1-p^{-(u+1)})), three geometric-friendly factors
-    from .measures import _pow_p_minus
-
-    rate = _rate(params)
-    head = _pow_p_minus(p, rate, K + 1)
+    rate = params.rate
+    head = pow_p_minus(p, rate, K + 1)
     denom = iv_mul(
         iv_mul_scalar(iv_sub(ONE, iv_recip_int(p ** (K + 1))), float(K + 1)),
-        iv_sub(ONE, _pow_p_minus(p, rate, 1)),
+        iv_sub(ONE, pow_p_minus(p, rate, 1)),
     )
     first = iv_add(first, Interval(0.0, iv_div(head, denom).hi))
 
@@ -269,13 +241,10 @@ def entropy_upper_bound(params: CLParams, N: int = 30, K: int = 48) -> Interval:
 
     if params.integral:
         over_p = iv_recip_int(p ** (u - 1))
-        u_factor = iv_mul_scalar(iv_mul(F, over_p), float(u))
-        one_factor = iv_mul(F, over_p)
     else:
-        L = iv_log_int(p)
-        over_p = iv_exp(iv_neg(iv_mul(iv_point(u - 1), L)))
-        u_factor = iv_mul_scalar(iv_mul(F, over_p), float(u))
-        one_factor = iv_mul(F, over_p)
+        over_p = iv_exp(iv_neg(iv_mul(iv_point(u - 1), iv_log_int(p))))
+    u_factor = iv_mul_scalar(iv_mul(F, over_p), float(u))
+    one_factor = iv_mul(F, over_p)
     return iv_add(first, iv_add(iv_mul(u_factor, sum_aut), iv_mul(one_factor, sum_ord)))
 
 

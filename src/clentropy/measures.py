@@ -45,7 +45,6 @@ from .numerics import (
     iv_exp,
     iv_from_fraction,
     iv_from_int,
-    iv_log,
     iv_log_int,
     iv_mul,
     iv_mul_scalar,
@@ -94,8 +93,18 @@ class CLParams:
     def integral(self) -> bool:
         return isinstance(self.u, int) and self.u >= 0
 
+    @property
+    def exponent(self):
+        """u as ``pow_p_minus`` takes it: the int, or a point Interval."""
+        return self.u if self.integral else iv_point(self.u)
 
-def _pow_p_minus(p: int, exponent, n: int) -> Interval:
+    @property
+    def rate(self):
+        """The level decay exponent u + 1, as an int or an Interval."""
+        return self.u + 1 if self.integral else iv_add(iv_point(self.u), ONE)
+
+
+def pow_p_minus(p: int, exponent, n: int) -> Interval:
     """Enclosure of p^(-exponent*n); exponent is an int or an Interval."""
     if isinstance(exponent, int):
         return iv_recip_int(p ** (exponent * n))
@@ -103,19 +112,26 @@ def _pow_p_minus(p: int, exponent, n: int) -> Interval:
     return iv_exp(iv_neg(arg))
 
 
-@lru_cache(maxsize=None)
-def _normalizing_constant_cached(p: int, u, J: int) -> Interval:
-    partial = ONE
-    if isinstance(u, int) and u >= 0:
-        for i in range(1, J + 1):
-            q = p ** (u + i)
-            partial = iv_mul(partial, iv_from_fraction(Fraction(q - 1, q)))
+def partial_product(p: int, s, k: int) -> Interval:
+    """Enclosure of prod_{i=1}^{k} (1 - p^{-s-i}): exact rational factors
+    at integral s >= 0, interval exp/log otherwise."""
+    prod = ONE
+    if isinstance(s, int) and s >= 0:
+        for i in range(1, k + 1):
+            q = p ** (s + i)
+            prod = iv_mul(prod, iv_from_fraction(Fraction(q - 1, q)))
     else:
         L = iv_log_int(p)
-        u_iv = iv_point(u)
-        for i in range(1, J + 1):
-            expo = iv_mul(iv_add(u_iv, iv_from_int(i)), L)
-            partial = iv_mul(partial, iv_sub(ONE, iv_exp(iv_neg(expo))))
+        s_iv = iv_point(s)
+        for i in range(1, k + 1):
+            expo = iv_mul(iv_add(s_iv, iv_from_int(i)), L)
+            prod = iv_mul(prod, iv_sub(ONE, iv_exp(iv_neg(expo))))
+    return prod
+
+
+@lru_cache(maxsize=None)
+def _normalizing_constant_cached(p: int, u, J: int) -> Interval:
+    partial = partial_product(p, u, J)
     # Omitted factors: log(1-x) >= -x/(1-x) gives
     #   prod_{i>J} (1 - p^{-u-i}) >= exp(-p^{-u-J} / ((p-1)(1 - p^{-u-J-1}))),
     # and trivially the omitted product is < 1.
@@ -233,6 +249,34 @@ def check_enumeration_budget(N: int) -> None:
         )
 
 
+def truncation_level(
+    tail_at, N: int | None, target: float = 0.0, start: int = 1,
+    series: str = "series", where: str = "",
+) -> tuple[int, Interval]:
+    """The truncation level of a level series and its certified tail.
+
+    ``tail_at(n)`` bounds everything past level n.  An explicit N must be
+    >= 1 and within the enumeration budget, and its tail is returned as is.
+    Otherwise N is the first level in start..MAX_LEVEL whose tail is below
+    ``target``; past the cap the series refuses, naming itself and the
+    parameters it was asked about.
+    """
+    if N is not None:
+        if N < 1:
+            raise ValueError("N must be >= 1")
+        check_enumeration_budget(N)
+        return N, tail_at(N)
+    for n in range(start, MAX_LEVEL + 1):
+        tail = tail_at(n)
+        if tail.hi < target:
+            check_enumeration_budget(n)
+            return n, tail
+    raise RefusalError(
+        f"{series} tail cannot be pushed below {target:g} by level "
+        f"{MAX_LEVEL} at {where}"
+    )
+
+
 def hall_sum_partial(p: int, N: int) -> tuple[Fraction, Fraction]:
     """Exact partial sums of Hall's identity up to order p^N.
 
@@ -277,7 +321,7 @@ def bound_series_tail(
     M = N + strip
     acc = ZERO
     for n in range(N + 1, M + 1):
-        term = iv_mul(iv_from_int(partition_count(n)), _pow_p_minus(p, rate, n))
+        term = iv_mul(iv_from_int(partition_count(n)), pow_p_minus(p, rate, n))
         acc = iv_add(acc, iv_mul(term, _poly_eval(coeffs, n)))
 
     up_coeffs = [Interval(max(c.lo, 0.0), max(c.hi, 0.0)) for c in coeffs]
@@ -289,7 +333,7 @@ def bound_series_tail(
     ratio = iv_exp(
         iv_div(PARTITION_GROWTH, iv_mul_scalar(iv_sqrt(iv_from_int(M + 1)), 2.0))
     )
-    ratio = iv_mul(ratio, _pow_p_minus(p, rate, 1))
+    ratio = iv_mul(ratio, pow_p_minus(p, rate, 1))
     if degree:
         ratio = iv_mul(
             ratio, iv_pow_int(iv_div(iv_from_int(M + 2), iv_from_int(M + 1)), degree)
@@ -302,7 +346,7 @@ def bound_series_tail(
         )
     lead = iv_mul(
         iv_exp(iv_mul(PARTITION_GROWTH, iv_sqrt(iv_from_int(M + 1)))),
-        iv_mul(_pow_p_minus(p, rate, M + 1), _poly_eval(up_coeffs, M + 1)),
+        iv_mul(pow_p_minus(p, rate, M + 1), _poly_eval(up_coeffs, M + 1)),
     )
     closure = iv_div(lead, iv_sub(ONE, Interval(ratio.hi, ratio.hi)))
     total = iv_mul(scale, iv_add(acc, closure))
@@ -346,28 +390,12 @@ def total_mass(
         J = auto_product_depth(params.p, params.u, eps)
     F = normalizing_constant(params, J)
     p = params.p
-    rate = params.u + 1 if params.integral else iv_add(iv_point(params.u), ONE)
+    rate = params.rate
     scale = iv_mul(F, iv_from_int(p))
-
-    def tail_at(n: int) -> Interval:
-        return bound_series_tail(p, rate, n, [ONE], scale)
-
-    if N is None:
-        N = 1
-        tail = tail_at(N)
-        while tail.hi >= eps / 2:
-            N += 1
-            if N > MAX_LEVEL:
-                raise RefusalError(
-                    f"total mass tail cannot be pushed below {eps / 2:g} by "
-                    f"level {MAX_LEVEL} at p={p}, u={params.u}"
-                )
-            tail = tail_at(N)
-    else:
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        tail = tail_at(N)
-    check_enumeration_budget(N)
+    N, tail = truncation_level(
+        lambda n: bound_series_tail(p, rate, n, [ONE], scale),
+        N, eps / 2, 1, "total mass", f"p={p}, u={params.u}",
+    )
 
     if params.integral:
         inner = sum(
@@ -382,8 +410,6 @@ def total_mass(
         inner = ONE
         for n in range(1, N + 1):
             r_iv, _ = level_stats(p, n)
-            inner = iv_add(
-                inner, iv_mul(_pow_p_minus(p, iv_point(params.u), n), r_iv)
-            )
+            inner = iv_add(inner, iv_mul(pow_p_minus(p, params.exponent, n), r_iv))
         value = iv_mul(F, inner)
     return CertifiedValue(value=value, truncation_level=N, tail_bound=tail.hi)

@@ -28,17 +28,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import RefusalError
-from .groups import is_prime
+from .groups import aut_order_parts, is_prime
 from .measures import (
-    MAX_LEVEL,
     CLParams,
     auto_product_depth,
     bound_series_tail,
-    check_enumeration_budget,
     level_aut_reciprocal_sum,
     level_stats,
     normalizing_constant,
+    partial_product,
+    pow_p_minus,
+    truncation_level,
 )
 from .numerics import (
     ONE,
@@ -114,8 +114,6 @@ def w_k_weight(A, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _level_weight_sum(p: int, n: int, k: int) -> Fraction:
     """sum of w_k over the partitions of n (exact)."""
-    from .groups import aut_order_parts
-
     total = Fraction(0)
     for parts in iter_partitions(n):
         r = len(parts)
@@ -137,18 +135,7 @@ def zeta_product(params: ZetaParams, J: int = 64) -> Interval:
     p, k, s = params.p, params.k, params.s
     if k is None:
         return iv_div(ONE, normalizing_constant(CLParams(p, s), J))
-    prod = ONE
-    if params.integral_s:
-        for i in range(1, k + 1):
-            q = p ** (s + i)
-            prod = iv_mul(prod, iv_from_fraction(Fraction(q - 1, q)))
-    else:
-        L = iv_log_int(p)
-        s_iv = iv_point(float(s))
-        for i in range(1, k + 1):
-            expo = iv_mul(iv_add(s_iv, iv_from_int(i)), L)
-            prod = iv_mul(prod, iv_sub(ONE, iv_exp(iv_neg(expo))))
-    return iv_div(ONE, prod)
+    return iv_div(ONE, partial_product(p, s, k))
 
 
 def zeta_sum(params: ZetaParams, N: int = 30) -> CertifiedValue:
@@ -162,9 +149,10 @@ def zeta_sum(params: ZetaParams, N: int = 30) -> CertifiedValue:
     p, k, s = params.p, params.k, params.s
     if k is None:
         raise ValueError("the group-sum route needs a finite level k")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    check_enumeration_budget(N)
+    rate = s + 1 if params.integral_s else iv_add(iv_point(float(s)), ONE)
+    N, tail = truncation_level(
+        lambda n: bound_series_tail(p, rate, n, [ONE], iv_from_int(p)), N
+    )
     if params.integral_s:
         exact = sum(
             (_level_weight_sum(p, n, k) / Fraction(p ** (s * n)) for n in range(N + 1)),
@@ -172,33 +160,38 @@ def zeta_sum(params: ZetaParams, N: int = 30) -> CertifiedValue:
         )
         value = iv_from_fraction(exact)
     else:
-        from .measures import _pow_p_minus
-
         value = ZERO
         s_iv = iv_point(float(s))
         for n in range(N + 1):
             w = iv_from_fraction(_level_weight_sum(p, n, k))
-            value = iv_add(value, iv_mul(w, _pow_p_minus(p, s_iv, n)))
-    rate = s + 1 if params.integral_s else iv_add(iv_point(float(s)), ONE)
-    tail = bound_series_tail(p, rate, N, [ONE], iv_from_int(p))
+            value = iv_add(value, iv_mul(w, pow_p_minus(p, s_iv, n)))
     return CertifiedValue(value=value, truncation_level=N, tail_bound=tail.hi)
+
+
+def _log_ratio_sum(p: int, s, k: int) -> Interval:
+    """Enclosure of the partial sum sum_{i=1}^{k} log(p)/(p^{s+i} - 1)."""
+    L = iv_log_int(p)
+    acc = ZERO
+    if isinstance(s, int) and s >= 0:
+        for i in range(1, k + 1):
+            acc = iv_add(acc, iv_mul(L, iv_recip_int(p ** (s + i) - 1)))
+    else:
+        s_iv = iv_point(float(s))
+        for i in range(1, k + 1):
+            expo = iv_mul(iv_add(s_iv, iv_from_int(i)), L)
+            acc = iv_add(acc, iv_div(L, iv_sub(iv_exp(expo), ONE)))
+    return acc
 
 
 def _reciprocal_power_sum(p: int, base, I: int) -> Interval:
     """Enclosure of sum_{i=1..I} log(p)/(p^{base+i} - 1) plus its tail:
     the full series lies in [partial, partial + bound]."""
     L = iv_log_int(p)
-    acc = ZERO
+    acc = _log_ratio_sum(p, base, I)
     if isinstance(base, int) and base >= 0:
-        for i in range(1, I + 1):
-            acc = iv_add(acc, iv_mul(L, iv_recip_int(p ** (base + i) - 1)))
         x = iv_recip_int(p ** (base + I + 1))
     else:
-        b_iv = iv_point(float(base))
-        for i in range(1, I + 1):
-            expo = iv_mul(iv_add(b_iv, iv_from_int(i)), L)
-            acc = iv_add(acc, iv_div(L, iv_sub(iv_exp(expo), ONE)))
-        x = iv_exp(iv_neg(iv_mul(iv_add(b_iv, iv_from_int(I + 1)), L)))
+        x = iv_exp(iv_neg(iv_mul(iv_add(iv_point(float(base)), iv_from_int(I + 1)), L)))
     # sum_{i>I} log(p)/(p^{base+i}-1) <= log(p) p^{-base-I} / ((p-1)(1-x))
     tail = iv_div(
         iv_mul(L, iv_mul(x, iv_from_int(p))),
@@ -216,22 +209,7 @@ def zeta_log_derivative(params: ZetaParams) -> Interval:
     p, k, s = params.p, params.k, params.s
     if k is None:
         raise ValueError("the derivative formula needs a finite level k")
-    zp = zeta_product(params)
-    L = iv_log_int(p)
-    acc = ZERO
-    if params.integral_s:
-        for i in range(1, k + 1):
-            acc = iv_add(acc, iv_mul(L, iv_recip_int(p ** (s + i) - 1)))
-    else:
-        s_iv = iv_point(float(s))
-        for i in range(1, k + 1):
-            expo = iv_mul(iv_add(s_iv, iv_from_int(i)), L)
-            acc = iv_add(acc, iv_div(L, iv_sub(iv_exp(expo), ONE)))
-    return iv_neg(iv_mul(zp, acc))
-
-
-def _validate_unit_ranks(p: int, u1, u2) -> tuple[CLParams, CLParams]:
-    return CLParams(p, u1), CLParams(p, u2)
+    return iv_neg(iv_mul(zeta_product(params), _log_ratio_sum(p, s, k)))
 
 
 def kl_closed(p: int, u1, u2, tol: float = 1e-9) -> CertifiedValue:
@@ -245,7 +223,7 @@ def kl_closed(p: int, u1, u2, tol: float = 1e-9) -> CertifiedValue:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    params1, params2 = _validate_unit_ranks(p, u1, u2)
+    params1, params2 = CLParams(p, u1), CLParams(p, u2)
     J = auto_product_depth(p, min(params1.u, params2.u), tol / 8)
     F1 = normalizing_constant(params1, J)
     F2 = normalizing_constant(params2, J)
@@ -272,7 +250,7 @@ def kl_direct(p: int, u1, u2, N: int | None = None, tol: float = 1e-6) -> Certif
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    params1, params2 = _validate_unit_ranks(p, u1, u2)
+    params1, params2 = CLParams(p, u1), CLParams(p, u2)
     J = auto_product_depth(p, min(params1.u, params2.u), min(tol, 1e-9) / 8)
     F1 = normalizing_constant(params1, J)
     F2 = normalizing_constant(params2, J)
@@ -280,29 +258,13 @@ def kl_direct(p: int, u1, u2, N: int | None = None, tol: float = 1e-6) -> Certif
     L = iv_log_int(p)
     delta = iv_sub(iv_point(float(params2.u)), iv_point(float(params1.u)))
 
-    rate = params1.u + 1 if params1.integral else iv_add(iv_point(params1.u), ONE)
+    rate = params1.rate
     scale = iv_mul(F1, iv_from_int(p))
     coeffs = [iv_abs(c), iv_mul(iv_abs(delta), L)]
-
-    def tail_at(n: int) -> Interval:
-        return bound_series_tail(p, rate, n, coeffs, scale)
-
-    if N is None:
-        N = 2
-        tail = tail_at(N)
-        while tail.hi >= tol / 2:
-            N += 1
-            if N > MAX_LEVEL:
-                raise RefusalError(
-                    f"divergence tail cannot be pushed below {tol / 2:g} by "
-                    f"level {MAX_LEVEL} at p={p}, u1={u1}, u2={u2}"
-                )
-            tail = tail_at(N)
-    else:
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        tail = tail_at(N)
-    check_enumeration_budget(N)
+    N, tail = truncation_level(
+        lambda n: bound_series_tail(p, rate, n, coeffs, scale), N, tol / 2, 2,
+        "divergence", f"p={p}, u1={u1}, u2={u2}",
+    )
 
     # M1 = sum nu_1(A), M2 = sum n(A) nu_1(A) over #A <= p^N.
     if params1.integral:
@@ -315,13 +277,10 @@ def kl_direct(p: int, u1, u2, N: int | None = None, tol: float = 1e-6) -> Certif
         m1 = iv_mul(F1, iv_from_fraction(m1_inner))
         m2 = iv_mul(F1, iv_from_fraction(m2_inner))
     else:
-        from .measures import _pow_p_minus
-
-        u_iv = iv_point(params1.u)
         m1_acc, m2_acc = ONE, ZERO
         for n in range(1, N + 1):
             r_iv, _ = level_stats(p, n)
-            lv = iv_mul(_pow_p_minus(p, u_iv, n), r_iv)
+            lv = iv_mul(pow_p_minus(p, params1.exponent, n), r_iv)
             m1_acc = iv_add(m1_acc, lv)
             m2_acc = iv_add(m2_acc, iv_mul_scalar(lv, float(n)))
         m1 = iv_mul(F1, m1_acc)
@@ -367,48 +326,26 @@ def cross_entropy_direct(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    params1, params2 = _validate_unit_ranks(p, u1, u2)
+    params1, params2 = CLParams(p, u1), CLParams(p, u2)
     J = auto_product_depth(p, min(params1.u, params2.u), min(tol, 1e-9) / 8)
     F1 = normalizing_constant(params1, J)
     F2 = normalizing_constant(params2, J)
     mlf2 = iv_neg(iv_log(F2))
     L = iv_log_int(p)
 
-    rate = params1.u + 1 if params1.integral else iv_add(iv_point(params1.u), ONE)
+    rate = params1.rate
     scale = iv_mul(F1, iv_from_int(p))
     coeffs = [mlf2, iv_mul(iv_abs(iv_point(float(params2.u))), L), L]
+    N, tail = truncation_level(
+        lambda n: bound_series_tail(p, rate, n, coeffs, scale), N, tol / 2, 2,
+        "cross-entropy", f"p={p}, u1={u1}, u2={u2}",
+    )
 
-    def tail_at(n: int) -> Interval:
-        return bound_series_tail(p, rate, n, coeffs, scale)
-
-    if N is None:
-        N = 2
-        tail = tail_at(N)
-        while tail.hi >= tol / 2:
-            N += 1
-            if N > MAX_LEVEL:
-                raise RefusalError(
-                    f"cross-entropy tail cannot be pushed below {tol / 2:g} "
-                    f"by level {MAX_LEVEL} at p={p}, u1={u1}, u2={u2}"
-                )
-            tail = tail_at(N)
-    else:
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        tail = tail_at(N)
-    check_enumeration_budget(N)
-
-    from .measures import _pow_p_minus
-
-    u1_iv = iv_point(float(params1.u))
     u2_iv = iv_point(float(params2.u))
     acc = mlf2  # trivial group: nu_1(1) (-log nu_2(1)) = F1 mlf2; F1 folds below
     for n in range(1, N + 1):
         r_iv, s_iv = level_stats(p, n)
-        if params1.integral:
-            pw = iv_recip_int(p ** (params1.u * n))
-        else:
-            pw = _pow_p_minus(p, u1_iv, n)
+        pw = pow_p_minus(p, params1.exponent, n)
         u2n_log = iv_mul(u2_iv, iv_mul_scalar(L, float(n)))
         acc = iv_add(acc, iv_mul(pw, iv_add(iv_mul(u2n_log, r_iv), s_iv)))
         acc = iv_add(acc, iv_mul(mlf2, iv_mul(pw, r_iv)))

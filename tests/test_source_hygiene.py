@@ -1,0 +1,69 @@
+"""Import hygiene of the package sources, checked on their syntax trees.
+
+No module reaches into another module's private names (``_``-prefixed),
+whether at module level or inside a function body, and no module-level
+import goes unused.  There is no linter in the toolchain, so this is the
+gate.  A name counts as used when it is loaded anywhere in the module or
+listed in ``__all__`` (the package's re-exports).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clentropy"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Private names imported from the package, at any depth."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "clentropy")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imports never loaded and not re-exported."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    assert private_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_checks_catch_local_private_and_unused_imports():
+    tree = ast.parse(
+        "import os\n"
+        "from .numerics import ONE, ZERO\n"
+        "__all__ = ['ZERO']\n"
+        "def f():\n"
+        "    from .measures import _hidden\n"
+        "    return ONE\n"
+    )
+    assert private_imports(tree) == ["line 5: _hidden"]
+    assert unused_imports(tree) == ["line 1: os"]
