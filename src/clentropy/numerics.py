@@ -81,7 +81,7 @@ class Interval:
         return self.lo <= other.hi and other.lo <= self.hi
 
     def widened(self, delta: float) -> "Interval":
-        return Interval(self.lo - delta, self.hi + delta)
+        return Interval(_down(self.lo - delta), _up(self.hi + delta))
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -304,5 +304,5 @@ class CertifiedValue:
         One-sided tails (all omitted terms nonnegative) extend only the
         upper endpoint; ``symmetric=True`` extends both.
         """
-        lo = self.value.lo - self.tail_bound if symmetric else self.value.lo
+        lo = _down(self.value.lo - self.tail_bound) if symmetric else self.value.lo
         return Interval(lo, _up(self.value.hi + self.tail_bound))

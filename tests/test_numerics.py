@@ -237,6 +237,20 @@ def test_certified_value_enclosures():
     assert symmetric.lo == pytest.approx(0.75) and symmetric.hi == pytest.approx(1.75)
 
 
+def test_symmetric_enclosure_rounds_its_lower_endpoint_outward():
+    # 1 - 1e-17 rounds to nearest as 1.0, which would drop the exact bound.
+    box = CertifiedValue(Interval(1.0, 1.0), 0, 1e-17).enclosure(symmetric=True)
+    assert box.lo < 1.0
+    assert Fraction(box.lo) <= 1 - Fraction(1e-17)
+    assert Fraction(box.hi) >= 1 + Fraction(1e-17)
+
+
+def test_widened_rounds_both_endpoints_outward():
+    box = Interval(1.0, 1.0).widened(1e-17)
+    assert Fraction(box.lo) <= 1 - Fraction(1e-17)
+    assert Fraction(box.hi) >= 1 + Fraction(1e-17)
+
+
 def test_certified_value_validation():
     with pytest.raises(ValueError):
         CertifiedValue(value=ONE, truncation_level=-1, tail_bound=0.0)
@@ -264,3 +278,12 @@ def test_add_mul_containment_property(x, y, z):
 def test_div_then_mul_contains_original(x, n):
     quotient = iv_div(iv_point(x), iv_from_int(n))
     assert contains_fraction(iv_mul(quotient, iv_from_int(n)), Fraction(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite, st.floats(min_value=0.0, max_value=1e12), st.floats(min_value=0.0, max_value=1e12))
+def test_widened_contains_the_exact_widening(x, span, delta):
+    a = Interval(x, x + span)
+    box = a.widened(delta)
+    assert Fraction(box.lo) <= Fraction(a.lo) - Fraction(delta)
+    assert Fraction(box.hi) >= Fraction(a.hi) + Fraction(delta)
