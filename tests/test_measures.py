@@ -1,5 +1,6 @@
 """Measures on abelian p-groups: normalizing products, Hall sums, total mass."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,14 @@ from clentropy import (
     partition_count,
     total_mass,
 )
-from clentropy.measures import check_enumeration_budget, level_aut_reciprocal_sum
-from clentropy.numerics import ONE, iv_from_fraction, iv_from_int, iv_point
+from clentropy import cross_entropy_direct, entropy, entropy_by_definition, kl_direct
+from clentropy import measures
+from clentropy.measures import (
+    check_enumeration_budget,
+    level_aut_reciprocal_sum,
+    truncation_level,
+)
+from clentropy.numerics import ONE, Interval, iv_from_fraction, iv_from_int, iv_point
 
 # ------------------------------------------------------------------ CLParams
 
@@ -289,3 +296,95 @@ def test_total_mass_refuses_impossible_tail():
 def test_total_mass_validation():
     with pytest.raises(ValueError):
         total_mass(CLParams(2, 0), N=0)
+
+
+# ------------------------------------------------------ truncation-level engine
+
+
+def _tails(log):
+    """tail_at with tail 1/n at level n, recording the levels it is asked."""
+
+    def tail_at(n):
+        log.append(n)
+        return Interval(0.0, 1.0 / n)
+
+    return tail_at
+
+
+def test_engine_walk_stops_at_first_level_strictly_below_target():
+    asked = []
+    N, tail = truncation_level(_tails(asked), None, 0.25, 2, "test", "here")
+    assert (N, tail.hi) == (5, 0.2)  # 1/4 ties the target and does not stop
+    assert asked == [2, 3, 4, 5]
+
+
+def test_engine_explicit_level_checks_level_then_budget_then_tail():
+    asked = []
+    assert truncation_level(_tails(asked), 8) == (8, Interval(0.0, 0.125))
+    assert asked == [8]
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        truncation_level(_tails(asked), 0)
+    with pytest.raises(RefusalError, match="enumeration budget"):
+        truncation_level(_tails(asked), 120)
+    assert asked == [8]
+
+
+def test_engine_refuses_past_the_level_cap(monkeypatch):
+    monkeypatch.setattr(measures, "MAX_LEVEL", 6)
+    asked = []
+    with pytest.raises(RefusalError) as excinfo:
+        truncation_level(_tails(asked), None, 0.01, 2, "test", "p=2")
+    assert str(excinfo.value) == "test tail cannot be pushed below 0.01 by level 6 at p=2"
+    assert asked == [2, 3, 4, 5, 6]
+
+
+def test_entropy_start_level_above_the_cap_refuses():
+    # the 1/e floor at u = -0.999 is level 1002, past MAX_LEVEL = 600
+    with pytest.raises(RefusalError) as excinfo:
+        entropy(CLParams(2, -0.999))
+    assert str(excinfo.value) == (
+        "entropy tail cannot be pushed below 5e-07 by level 600 at p=2, u=-0.999"
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: total_mass(CLParams(2, 0), eps=1e-6),
+            "total mass tail cannot be pushed below 5e-07 by level 3 at p=2, u=0",
+        ),
+        (
+            lambda: kl_direct(2, 0, 1),
+            "divergence tail cannot be pushed below 5e-07 by level 3 at p=2, u1=0, u2=1",
+        ),
+        (
+            lambda: cross_entropy_direct(2, 0, 1),
+            "cross-entropy tail cannot be pushed below 5e-06 by level 3 at p=2, u1=0, u2=1",
+        ),
+    ],
+    ids=["total_mass", "kl_direct", "cross_entropy_direct"],
+)
+def test_level_cap_refusal_names_the_series(monkeypatch, call, message):
+    monkeypatch.setattr(measures, "MAX_LEVEL", 3)
+    with pytest.raises(RefusalError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("direct", [kl_direct, cross_entropy_direct])
+def test_direct_sums_reject_level_zero(direct):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        direct(2, 0, 1, N=0)
+
+
+def test_definition_route_refuses_uncertified_class_measure_bound(monkeypatch):
+    # At the validity floor b_{N+1} <= F_u p^{-3(u+1)} < 0.11 for every
+    # admissible (p, u), so lower the ceiling to see the refusal.
+    entropy_module = importlib.import_module("clentropy.entropy")
+    monkeypatch.setattr(entropy_module, "_H_ARG_CEILING", 1e-300)
+    with pytest.raises(RefusalError) as excinfo:
+        entropy_by_definition(CLParams(2, 0), N=5)
+    assert str(excinfo.value) == (
+        "class-measure bound at level 6 is not below 1/e; increase the truncation level"
+    )
