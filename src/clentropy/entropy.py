@@ -111,13 +111,6 @@ def _entropy_tail(params: CLParams, F: Interval, N: int) -> Interval:
     return bound_series_tail(params.p, rate, N, [alpha, beta], scale)
 
 
-def _un_log(params: CLParams, L: Interval, n: int) -> Interval:
-    """u n log p: one product at integral u, two at interval u."""
-    if params.integral:
-        return iv_mul_scalar(L, float(params.u * n))
-    return iv_mul(params.exponent, iv_mul_scalar(L, float(n)))
-
-
 def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     """Certified H(nu) with H.value.width <= eps.
 
@@ -142,7 +135,10 @@ def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     for n in range(1, N + 1):
         r_iv, s_iv = level_stats(p, n)
         pw = pow_p_minus(p, params.exponent, n)
-        un_log = _un_log(params, L, n)
+        if params.integral:
+            un_log = iv_mul_scalar(L, float(params.u * n))
+        else:
+            un_log = iv_mul(params.exponent, iv_mul_scalar(L, float(n)))
         acc = iv_add(acc, iv_mul(pw, iv_add(iv_mul(un_log, r_iv), s_iv)))
     ws_value = iv_mul(F, acc)
     weighted_sum = CertifiedValue(ws_value, N, tail.hi)
@@ -187,7 +183,10 @@ def entropy_by_definition(params: CLParams, N: int, J: int = 64) -> CertifiedVal
     for n in range(1, N + 1):
         r_iv, s_iv = level_stats(p, n)
         pw = pow_p_minus(p, params.exponent, n)
-        un_log = _un_log(params, L, n)
+        if params.integral:
+            un_log = iv_mul_scalar(L, float(params.u * n))
+        else:
+            un_log = iv_mul(params.exponent, iv_mul_scalar(L, float(n)))
         level = iv_mul(pw, iv_add(iv_mul(iv_add(mlf, un_log), r_iv), s_iv))
         acc = iv_add(acc, level)
     value = iv_add(iv_mul(F, acc), Interval(0.0, tail.hi))
