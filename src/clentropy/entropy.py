@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import RefusalError
 from .groups import AbelianPGroup, is_prime, pow_le
@@ -39,9 +40,11 @@ from .measures import (
     CLParams,
     auto_product_depth,
     bound_series_tail,
+    check_level_budget,
     hall_sum_partial,
     hall_tail_bounds,
     level_stats,
+    level_stats_by_enumeration,
     normalizing_constant,
     pow_p_minus,
     truncation_level,
@@ -128,6 +131,7 @@ def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     N, tail = truncation_level(
         lambda n: _entropy_tail(params, F, n), None, eps / 2,
         _level_floor(params.u), "entropy", f"p={p}, u={params.u}",
+        partial(check_level_budget, p),
     )
 
     L = iv_log_int(p)
@@ -161,7 +165,9 @@ def entropy_by_definition(params: CLParams, N: int, J: int = 64) -> CertifiedVal
 
     Sums h(nu(A)) = nu(A)(-log nu(A)) levelwise through level N, then adds
     [0, T(N)] exactly as in ``entropy``.  Used to cross-check the identity
-    route; shares only the per-level statistics with it.
+    route: its per-level statistics come from listing every partition
+    (``level_stats_by_enumeration``, under the enumeration budget), not
+    from the transfer DP that the identity route reads.
     """
     p = params.p
     F = normalizing_constant(params, J)
@@ -181,7 +187,7 @@ def entropy_by_definition(params: CLParams, N: int, J: int = 64) -> CertifiedVal
     L = iv_log_int(p)
     acc = mlf  # trivial group: h(F_u) = F_u (-log F_u), the F_u folds below
     for n in range(1, N + 1):
-        r_iv, s_iv = level_stats(p, n)
+        _, r_iv, s_iv = level_stats_by_enumeration(p, n)
         pw = pow_p_minus(p, params.exponent, n)
         if params.integral:
             un_log = iv_mul_scalar(L, float(params.u * n))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import RefusalError, TailClosureError
 from .groups import aut_order_parts, is_prime
@@ -60,6 +60,10 @@ from .partitions import iter_partitions, partition_count
 # Hard ceiling on truncation depth; past this we refuse rather than grind.
 MAX_LEVEL = 600
 MAX_ENUM_PARTITIONS = 2_000_000
+# Budget of the transfer DP behind the level statistics, in the units of
+# ``level_work``: about 3 s of fill and +9 MB of peak RSS at p = 2, N = 90
+# (work 9.1e10) on a 2-core Xeon VM with Python 3.11.
+MAX_LEVEL_WORK = 10**11
 # Levels summed exactly past the truncation point before the geometric
 # closure takes over (the closure alone, started right at N, is far too
 # coarse for small p and u).
@@ -197,11 +201,191 @@ def cl_measure(params: CLParams, A, J: int = 64) -> Interval:
     return iv_mul(F, iv_exp(iv_neg(log_denom)))
 
 
+class _TransferDP:
+    """Exact per-level statistics at one prime, by a transfer DP over the
+    conjugate partition: no partition is listed.
+
+    Write mu_1 >= ... >= mu_L for the conjugate of a group type (its column
+    lengths; mu_1 is the rank), mu_{L+1} = 0 and m_j = mu_j - mu_{j+1}.
+    Macdonald's count factors over consecutive columns:
+
+        1/#Aut = prod_j f(mu_j, mu_{j+1}),
+        f(c, d) = p^-(c^2 - m(m+1)/2) / q_m,   m = c - d,
+        q_m = prod_{k<=m} (p^k - 1).
+
+    The level statistics run the columns largest first.  State (w, c) sums,
+    over the column prefixes mu_1 >= ... >= mu_j = c of weight w, the
+    product of f over the pairs inside the prefix.  Expectation-semiring
+    companions (Li & Eisner, EMNLP 2009) carry the same sum weighted by the
+    prefix's exponent of p and by its number of pairs with each m, so that
+
+        S_n = a_n log p + sum_m g_{n,m} log q_m
+
+    with exact rationals a_n and g_{n,m}, each log enclosed once.  A state
+    (w, c) feeds only levels <= w + c and is freed once they are built.
+    Values are integers over p^(s^2) q_s, s = w - c the weight above column
+    c: the prefix exponent is at most s^2, and prod q_{m_i} divides q_s
+    because the q-multinomial is an integer.
+
+    The rank-resolved sums run the columns smallest first, so that the last
+    column is the rank: state (w, c) is the sum of 1/#Aut over the types of
+    weight w and rank c, an integer over p^(cw) q_c.  Every such state feeds
+    all higher levels, so this table has no expectation part and is built
+    only when asked for.  Both tables are filled level by level and pulled
+    on demand; a level already built is a list lookup.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.q = [1]
+        self.log_q = [ZERO]
+        self.prefix = {}  # weight -> {last column: (value, p-exponent sum, {m: count sum})}
+        self.levels = []  # n -> (R_n, R_n enclosure, S_n enclosure)
+        self.rank_states = [{0: 1}]  # weight -> {rank: value}
+        self.ranks = []  # n -> (R_{n,0}, ..., R_{n,n})
+
+    def _extend_q(self, n: int) -> None:
+        q = self.q
+        while len(q) <= n:
+            q.append(q[-1] * (self.p ** len(q) - 1))
+            self.log_q.append(iv_log_int(q[-1]))
+
+    def level(self, n: int) -> tuple[Fraction, Interval, Interval]:
+        if n < 0:
+            raise ValueError("level must be >= 0")
+        while len(self.levels) <= n:
+            self._build_level(len(self.levels))
+        return self.levels[n]
+
+    def rank_sums(self, n: int) -> tuple[Fraction, ...]:
+        if n < 0:
+            raise ValueError("level must be >= 0")
+        while len(self.ranks) <= n:
+            self._build_ranks(len(self.ranks))
+        return self.ranks[n]
+
+    def _extend(self, acc: list, state: tuple, scale: int, c: int, m: int) -> None:
+        """acc += state * scale, with the column pair (c, c - m) appended:
+        its exponent of p is c^2 - m(m+1)/2 and it counts one q_m."""
+        value, expo, counts = state
+        term = value * scale
+        acc[0] += term
+        acc[1] += expo * scale + term * (c * c - m * (m + 1) // 2)
+        into = acc[2]
+        for k, v in counts.items():
+            into[k] = into.get(k, 0) + v * scale
+        if self.q[m] > 1:
+            into[m] = into.get(m, 0) + term
+
+    def _build_level(self, n: int) -> None:
+        p, q = self.p, self.q
+        self._extend_q(n)
+        row = {n: (1, 0, {})} if n else {}  # a single column: no pair yet
+        for c in range(1, n // 2 + 1):  # the columns above c are >= c long
+            s = n - c
+            sources = self.prefix[s]
+            acc = [0, 0, {}]
+            # the column above c is c1, with s1 = s - c1 above it and
+            # m = c1 - c; ratio = q_s / (q_s1 q_m) is stepped along c1
+            ratio = q[s] // q[s - c]
+            for c1 in range(c, s + 1):
+                s1, m = s - c1, c1 - c
+                if m:
+                    ratio = ratio * (p ** (s1 + 1) - 1) // (p**m - 1)
+                if c1 in sources:
+                    scale = p ** (2 * s1 * c1 + m * (m + 1) // 2) * ratio
+                    self._extend(acc, sources[c1], scale, c1, m)
+            row[c] = tuple(acc)
+        self.prefix[n] = row
+
+        # Close each prefix with its last pair (c, 0), over p^(n^2) q_n.
+        acc = [0 if n else 1, 0, {}]
+        binom = 1  # the q-binomial [n, c]
+        for c in range(1, n + 1):
+            binom = binom * (p ** (n - c + 1) - 1) // (p**c - 1)
+            if c in row:
+                self._extend(acc, row[c], p ** (2 * (n - c) * c + c * (c + 1) // 2) * binom, c, c)
+        total, expo, counts = acc
+        den = p ** (n * n) * q[n]
+        terms = [(expo, iv_log_int(p))] + [(counts[m], self.log_q[m]) for m in counts]
+        # Coefficients and logs are >= 0: each endpoint of S_n is summed
+        # exactly from the log enclosures' endpoints and rounded once.
+        s_lo = sum((c * Fraction(log.lo) for c, log in terms), Fraction(0)) / den
+        s_hi = sum((c * Fraction(log.hi) for c, log in terms), Fraction(0)) / den
+        s_iv = Interval(iv_from_fraction(s_lo).lo, iv_from_fraction(s_hi).hi)
+        r_frac = Fraction(total, den)
+        self.levels.append((r_frac, iv_from_fraction(r_frac), s_iv))
+
+        for w in range((n + 1) // 2, n):  # states (w, n - w) fed their last level
+            self.prefix[w].pop(n - w, None)
+            if not self.prefix[w]:
+                del self.prefix[w]
+
+    def _build_ranks(self, n: int) -> None:
+        p, q = self.p, self.q
+        self._extend_q(n)
+        if n == 0:
+            self.ranks.append((Fraction(1),))
+            return
+        row = {}
+        for c in range(1, n + 1):
+            w = n - c
+            value = 0
+            for c0, v0 in self.rank_states[w].items():
+                if c0 <= c:
+                    m = c - c0
+                    scale = p ** (m * w + m * (m + 1) // 2) * (q[c] // (q[c0] * q[m]))
+                    value += v0 * scale
+            row[c] = value
+        self.rank_states.append(row)
+        self.ranks.append(
+            (Fraction(0),) + tuple(Fraction(row[c], p ** (c * n) * q[c]) for c in range(1, n + 1))
+        )
+
+
 @lru_cache(maxsize=None)
-def _level_data(p: int, n: int) -> tuple[Fraction, Interval, Interval]:
-    # One pass over the partitions of n: the partition enumeration and the
-    # automorphism counts dominate the cost (p(n) grows fast), so the exact
-    # and the interval statistics are collected together.
+def _transfer(p: int) -> _TransferDP:
+    return _TransferDP(p)
+
+
+def level_aut_reciprocal_sum(p: int, n: int) -> Fraction:
+    """sum over partitions of n of 1/#Aut, as an exact rational.
+
+    These per-level sums are the common currency of the truncated mass sums
+    and the direct divergence sums; the transfer DP caches them per (p, n),
+    so every consumer is a cheap weighted recombination.
+    """
+    return _transfer(p).level(n)[0]
+
+
+def level_stats(p: int, n: int) -> tuple[Interval, Interval]:
+    """Per-level interval statistics (R_n, S_n) over partitions of n:
+
+    R_n = sum 1/#Aut (converted from the exact rational, so 1 ulp wide) and
+    S_n = sum log(#Aut)/#Aut, an exact rational combination of log p and
+    the log q_m.  Entropy- and divergence-type sums at level n are affine
+    combinations of these two for any unit-rank.
+    """
+    _, r_iv, s_iv = _transfer(p).level(n)
+    return r_iv, s_iv
+
+
+def level_rank_sums(p: int, n: int) -> tuple[Fraction, ...]:
+    """(R_{n,0}, ..., R_{n,n}): the exact sums of 1/#Aut over the groups of
+    order p^n and each rank r."""
+    return _transfer(p).rank_sums(n)
+
+
+@lru_cache(maxsize=None)
+def level_stats_by_enumeration(p: int, n: int) -> tuple[Fraction, Interval, Interval]:
+    """(R_n exact, R_n, S_n) by listing every partition of n.
+
+    The independent oracle for the transfer DP, and the source of the routes
+    that must not share it (the definition-route entropy, the Hall sums).
+    The partition enumeration and the automorphism counts dominate the cost
+    (p(n) grows fast), so the exact and the interval statistics are
+    collected in one pass.
+    """
     r_frac = Fraction(0)
     s_iv = ZERO
     for parts in iter_partitions(n):
@@ -211,25 +395,22 @@ def _level_data(p: int, n: int) -> tuple[Fraction, Interval, Interval]:
     return r_frac, iv_from_fraction(r_frac), s_iv
 
 
-def level_aut_reciprocal_sum(p: int, n: int) -> Fraction:
-    """sum over partitions of n of 1/#Aut, as an exact rational.
+def level_work(p: int, N: int) -> int:
+    """Cost model of the level statistics through level N: sum_{n<=N} n^5
+    (log2 p)^1.5.  Level n makes O(n^3) big-integer updates of numbers
+    about n^2 log2 p bits long; this form fits measured fill times within a
+    factor 1.5 for p in {2, 3, 5, 97} and N up to 100."""
+    return round(math.log2(p) ** 1.5 * sum(n**5 for n in range(1, N + 1)))
 
-    These per-level sums are the common currency of the Hall identity, the
-    truncated mass sums, and the direct divergence sums; caching them per
-    (p, n) makes every consumer a cheap weighted recombination.
+
+def check_level_budget(p: int, N: int) -> None:
+    """Refuse truncation levels whose level statistics are out of reach.
+
+    The transfer DP's cost grows like N^6 (log p)^1.5 (``level_work``), so a
+    slowly decaying series can still ask for a level whose statistics would
+    not finish; refusing keeps every accepted call cheap.
     """
-    return _level_data(p, n)[0]
-
-
-def level_stats(p: int, n: int) -> tuple[Interval, Interval]:
-    """Per-level interval statistics (R_n, S_n) over partitions of n:
-
-    R_n = sum 1/#Aut (converted from the exact rational, so 1 ulp wide) and
-    S_n = sum log(#Aut)/#Aut.  Entropy- and divergence-type sums at level n
-    are affine combinations of these two for any unit-rank.
-    """
-    _, r_iv, s_iv = _level_data(p, n)
-    return r_iv, s_iv
+    _check_budget(N, level_work(p, N), "DP bit-operations", MAX_LEVEL_WORK)
 
 
 def check_enumeration_budget(N: int) -> None:
@@ -241,35 +422,40 @@ def check_enumeration_budget(N: int) -> None:
     certifiably cheap.
     """
     work = sum(partition_count(n) for n in range(N + 1))
-    if work > MAX_ENUM_PARTITIONS:
+    _check_budget(N, work, "partition tuples", MAX_ENUM_PARTITIONS)
+
+
+def _check_budget(N: int, work: int, unit: str, budget: int) -> None:
+    if work > budget:
         raise RefusalError(
-            f"level {N} needs {work} partition tuples, over the "
-            f"{MAX_ENUM_PARTITIONS} enumeration budget; the required "
-            f"truncation level is out of certified reach"
+            f"level {N} needs {work} {unit}, over the {budget} enumeration "
+            f"budget; the required truncation level is out of certified reach"
         )
 
 
 def truncation_level(
     tail_at, N: int | None, target: float = 0.0, start: int = 1,
-    series: str = "series", where: str = "",
+    series: str = "series", where: str = "", budget=check_enumeration_budget,
 ) -> tuple[int, Interval]:
     """The truncation level of a level series and its certified tail.
 
     ``tail_at(n)`` bounds everything past level n.  An explicit N must be
-    >= 1 and within the enumeration budget, and its tail is returned as is.
-    Otherwise N is the first level in start..MAX_LEVEL whose tail is below
-    ``target``; past the cap the series refuses, naming itself and the
-    parameters it was asked about.
+    >= 1 and pass ``budget`` (which refuses levels out of reach: the
+    enumeration budget by default, ``check_level_budget`` for the series
+    fed by the transfer DP), and its tail is returned as is.  Otherwise N
+    is the first level in start..MAX_LEVEL whose tail is below ``target``,
+    then checked against the budget; past the cap the series refuses,
+    naming itself and the parameters it was asked about.
     """
     if N is not None:
         if N < 1:
             raise ValueError("N must be >= 1")
-        check_enumeration_budget(N)
+        budget(N)
         return N, tail_at(N)
     for n in range(start, MAX_LEVEL + 1):
         tail = tail_at(n)
         if tail.hi < target:
-            check_enumeration_budget(n)
+            budget(n)
             return n, tail
     raise RefusalError(
         f"{series} tail cannot be pushed below {target:g} by level "
@@ -283,13 +469,15 @@ def hall_sum_partial(p: int, N: int) -> tuple[Fraction, Fraction]:
     Returns (S_aut, S_ord) with S_aut = sum over all A with #A <= p^N of
     1/#Aut A and S_ord = sum_{n<=N} pi(n)/p^n.  Both increase to the common
     limit prod_{i>=1}(1-p^{-i})^{-1} = 1/F_0, along different routes.
+    S_aut lists the partitions (``level_stats_by_enumeration``), so this
+    check does not rest on the transfer DP.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if N < 0:
         raise ValueError("N must be >= 0")
     check_enumeration_budget(N)
-    s_aut = sum((level_aut_reciprocal_sum(p, n) for n in range(N + 1)), Fraction(0))
+    s_aut = sum((level_stats_by_enumeration(p, n)[0] for n in range(N + 1)), Fraction(0))
     s_ord = sum(
         (Fraction(partition_count(n), p**n) for n in range(N + 1)), Fraction(0)
     )
@@ -394,7 +582,7 @@ def total_mass(
     scale = iv_mul(F, iv_from_int(p))
     N, tail = truncation_level(
         lambda n: bound_series_tail(p, rate, n, [ONE], scale),
-        N, eps / 2, 1, "total mass", f"p={p}, u={params.u}",
+        N, eps / 2, 1, "total mass", f"p={p}, u={params.u}", partial(check_level_budget, p),
     )
 
     if params.integral:

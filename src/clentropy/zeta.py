@@ -26,14 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .groups import aut_order_parts, is_prime
+from .groups import is_prime
 from .measures import (
     CLParams,
     auto_product_depth,
     bound_series_tail,
+    check_level_budget,
     level_aut_reciprocal_sum,
+    level_rank_sums,
     level_stats,
     normalizing_constant,
     partial_product,
@@ -60,7 +62,6 @@ from .numerics import (
     iv_recip_int,
     iv_sub,
 )
-from .partitions import iter_partitions
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,14 @@ def w_k_weight(A, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _level_weight_sum(p: int, n: int, k: int) -> Fraction:
-    """sum of w_k over the partitions of n (exact)."""
+    """sum of w_k over the partitions of n (exact): the rank-resolved sums
+    R_{n,r} of 1/#Aut, each weighted by prod_{i=k-r+1}^{k} (1 - p^{-i})."""
     total = Fraction(0)
-    for parts in iter_partitions(n):
-        r = len(parts)
-        if r > k:
-            continue
-        num = 1
-        expo = 0
-        for i in range(k - r + 1, k + 1):
-            num *= p**i - 1
-            expo += i
-        total += Fraction(num, p**expo * aut_order_parts(p, parts))
+    weight = Fraction(1)
+    for r, mass in enumerate(level_rank_sums(p, n)[: k + 1]):
+        if r:
+            weight *= 1 - Fraction(1, p ** (k - r + 1))
+        total += mass * weight
     return total
 
 
@@ -151,7 +148,8 @@ def zeta_sum(params: ZetaParams, N: int = 30) -> CertifiedValue:
         raise ValueError("the group-sum route needs a finite level k")
     rate = s + 1 if params.integral_s else iv_add(iv_point(float(s)), ONE)
     N, tail = truncation_level(
-        lambda n: bound_series_tail(p, rate, n, [ONE], iv_from_int(p)), N
+        lambda n: bound_series_tail(p, rate, n, [ONE], iv_from_int(p)), N,
+        budget=partial(check_level_budget, p),
     )
     if params.integral_s:
         exact = sum(
@@ -263,7 +261,7 @@ def kl_direct(p: int, u1, u2, N: int | None = None, tol: float = 1e-6) -> Certif
     coeffs = [iv_abs(c), iv_mul(iv_abs(delta), L)]
     N, tail = truncation_level(
         lambda n: bound_series_tail(p, rate, n, coeffs, scale), N, tol / 2, 2,
-        "divergence", f"p={p}, u1={u1}, u2={u2}",
+        "divergence", f"p={p}, u1={u1}, u2={u2}", partial(check_level_budget, p),
     )
 
     # M1 = sum nu_1(A), M2 = sum n(A) nu_1(A) over #A <= p^N.
@@ -338,7 +336,7 @@ def cross_entropy_direct(
     coeffs = [mlf2, iv_mul(iv_abs(iv_point(float(params2.u))), L), L]
     N, tail = truncation_level(
         lambda n: bound_series_tail(p, rate, n, coeffs, scale), N, tol / 2, 2,
-        "cross-entropy", f"p={p}, u1={u1}, u2={u2}",
+        "cross-entropy", f"p={p}, u1={u1}, u2={u2}", partial(check_level_budget, p),
     )
 
     u2_iv = iv_point(float(params2.u))

@@ -1,7 +1,8 @@
 """Golden-file gate: the stdout bytes of a fixed set of CLI invocations.
 
-Every subcommand, integral and non-integral unit-ranks, CSV output, and one
-refusal of each kind (enumeration budget, level cap, tail closure) run
+Every subcommand, integral and non-integral unit-ranks, CSV output, a
+level-cap and a tail-closure refusal, and two deep entropy requests (levels
+59 and 80, refused while the level statistics were enumerated) run
 in-process through ``cli.main``; their exit codes and stdout must match
 ``golden/cli_stdout.txt`` byte for byte.  A refactor that claims unchanged
 output must pass this test without touching the golden file.

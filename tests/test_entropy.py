@@ -12,6 +12,7 @@ from clentropy import (
     entropy_by_definition,
     entropy_upper_bound,
     exceptional_margins,
+    is_prime,
     iv_div,
     iv_log,
     iv_mul,
@@ -19,6 +20,7 @@ from clentropy import (
     scan_exceptions,
     weighted_log_term,
 )
+from clentropy.measures import MAX_LEVEL_WORK, level_work
 from clentropy.numerics import iv_from_int
 
 # High-precision reference values (60-digit product/series evaluations,
@@ -80,6 +82,35 @@ def test_entropy_refuses_slow_decay():
     # far over budget; this must refuse quickly rather than run forever
     with pytest.raises(RefusalError):
         entropy(CLParams(2, -0.5), eps=1e-6)
+
+
+def test_entropy_refusal_names_the_level_budget():
+    with pytest.raises(RefusalError) as excinfo:
+        entropy(CLParams(2, -0.75), eps=1e-3)
+    assert str(excinfo.value) == (
+        f"level 265 needs {level_work(2, 265)} DP bit-operations, over the "
+        f"{MAX_LEVEL_WORK} enumeration budget; the required truncation level "
+        f"is out of certified reach"
+    )
+
+
+@pytest.mark.parametrize(
+    "u, eps, level", [(0, 1e-10, 59), (0, 1e-12, 68), (-0.5, 1e-3, 80)]
+)
+def test_entropy_answers_levels_past_the_enumeration_budget(u, eps, level):
+    # each of these was refused while the level statistics were enumerated
+    result = entropy(CLParams(2, u), eps=eps)
+    assert result.H.truncation_level == level
+    assert result.H.value.width <= eps
+    if u == 0:  # the reference is cut to 12 digits
+        assert result.H.value.widened(1e-11).contains(ENTROPY_REFERENCE[(2, 0)])
+
+
+def test_entropy_answers_across_the_advertised_range():
+    for p in (q for q in range(2, 98) if is_prime(q)):
+        for u in (0, 1, 2, 3):
+            for eps in (1e-6, 1e-8, 1e-10, 1e-12):
+                assert entropy(CLParams(p, u), eps=eps).H.value.width <= eps
 
 
 # ----------------------------------------------------------- two-route check

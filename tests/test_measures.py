@@ -22,14 +22,23 @@ from clentropy import (
     partition_count,
     total_mass,
 )
-from clentropy import cross_entropy_direct, entropy, entropy_by_definition, kl_direct
+from clentropy import ZetaParams, cross_entropy_direct, entropy, entropy_by_definition
+from clentropy import kl_closed, kl_direct, zeta_product, zeta_sum
 from clentropy import measures
+from clentropy.groups import aut_order_parts
 from clentropy.measures import (
+    MAX_LEVEL_WORK,
     check_enumeration_budget,
+    check_level_budget,
     level_aut_reciprocal_sum,
+    level_rank_sums,
+    level_stats,
+    level_stats_by_enumeration,
+    level_work,
     truncation_level,
 )
 from clentropy.numerics import ONE, Interval, iv_from_fraction, iv_from_int, iv_point
+from clentropy.partitions import iter_partitions
 
 # ------------------------------------------------------------------ CLParams
 
@@ -221,6 +230,90 @@ def test_level_aut_reciprocal_sum_equals_ord_route_levelwise():
             assert 0 < r <= Fraction(partition_count(n) * p, p**n)
 
 
+# ------------------------------------- level statistics: DP against enumeration
+
+
+def _rank_sums_by_enumeration(p, n):
+    sums = [Fraction(0)] * (n + 1)
+    for parts in iter_partitions(n):
+        sums[len(parts)] += Fraction(1, aut_order_parts(p, parts))
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_dp_level_sums_equal_enumeration_exactly(p):
+    for n in range(17):
+        r_exact, r_iv, _ = level_stats_by_enumeration(p, n)
+        assert level_aut_reciprocal_sum(p, n) == r_exact, (p, n)
+        assert level_stats(p, n)[0] == r_iv, (p, n)
+        assert level_rank_sums(p, n) == _rank_sums_by_enumeration(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_dp_log_sums_overlap_enumeration_and_are_no_wider(p):
+    for n in range(17):
+        _, _, s_enum = level_stats_by_enumeration(p, n)
+        _, s_dp = level_stats(p, n)
+        assert s_dp.overlaps(s_enum), (p, n)
+        assert s_dp.width <= s_enum.width, (p, n)
+
+
+def _hall_level(p, n):
+    """Hall: the sum over the groups of order p^n of 1/#Aut is
+    p^-n / prod_{i<=n} (1 - p^-i)."""
+    closed = Fraction(1, p**n)
+    for i in range(1, n + 1):
+        closed /= 1 - Fraction(1, p**i)
+    return closed
+
+
+@pytest.mark.parametrize("p, n_max", [(2, 68), (3, 39)])
+def test_dp_level_sums_equal_halls_closed_form(p, n_max):
+    for n in range(n_max + 1):
+        assert level_aut_reciprocal_sum(p, n) == _hall_level(p, n), (p, n)
+
+
+def test_dp_level_zero_is_the_trivial_group():
+    for p in (2, 3, 97):
+        assert level_aut_reciprocal_sum(p, 0) == 1
+        assert level_stats(p, 0) == (Interval(1.0, 1.0), Interval(0.0, 0.0))
+        assert level_rank_sums(p, 0) == (1,)
+
+
+def test_definition_and_hall_routes_do_not_use_the_dp(monkeypatch):
+    def broken(*args):
+        raise AssertionError("transfer DP used")
+
+    monkeypatch.setattr(measures._TransferDP, "level", broken)
+    monkeypatch.setattr(measures._TransferDP, "rank_sums", broken)
+    with pytest.raises(AssertionError):
+        level_stats(2, 3)
+    result = entropy_by_definition(CLParams(2, 1), N=17)
+    assert result.value.contains(1.13581634645)
+    s_aut, _ = hall_sum_partial(3, 12)
+    assert s_aut == sum(_hall_level(3, n) for n in range(13))
+
+
+def test_dp_routes_do_not_enumerate_partitions(monkeypatch):
+    def broken(n):
+        raise AssertionError("partitions enumerated")
+
+    for name in ("clentropy", "clentropy.partitions", "clentropy.measures"):
+        monkeypatch.setattr(importlib.import_module(name), "iter_partitions", broken)
+    # empty every cache an enumeration could have filled
+    level_stats_by_enumeration.cache_clear()
+    importlib.import_module("clentropy.zeta")._level_weight_sum.cache_clear()
+    with pytest.raises(AssertionError):
+        level_stats_by_enumeration(2, 3)
+    assert entropy(CLParams(11, 0.5), eps=1e-8).H.value.width <= 1e-8
+    kl = kl_direct(11, 0, 1).enclosure(symmetric=True)
+    assert kl.overlaps(kl_closed(11, 0, 1).value)
+    assert cross_entropy_direct(11, 1, 0).value.lo > 0
+    assert total_mass(CLParams(11, 1), eps=1e-8).enclosure().contains(1)
+    params = ZetaParams(11, 3, 0.5)
+    assert zeta_sum(params, 8).enclosure().overlaps(zeta_product(params))
+
+
 # ------------------------------------------------------------- tail machinery
 
 
@@ -250,6 +343,19 @@ def test_enumeration_budget_guard():
     check_enumeration_budget(40)  # fine
     with pytest.raises(RefusalError):
         check_enumeration_budget(120)
+
+
+def test_level_budget_guard():
+    check_level_budget(2, 80)  # fine
+    check_level_budget(97, 40)
+    assert level_work(97, 60) > 10 * level_work(2, 60)  # big-integer size grows with p
+    with pytest.raises(RefusalError) as excinfo:
+        check_level_budget(2, 334)
+    assert str(excinfo.value) == (
+        f"level 334 needs {level_work(2, 334)} DP bit-operations, over the "
+        f"{MAX_LEVEL_WORK} enumeration budget; the required truncation level "
+        f"is out of certified reach"
+    )
 
 
 # ----------------------------------------------------------------- total mass

@@ -2,9 +2,12 @@
 
 No module reaches into another module's private names (``_``-prefixed),
 whether at module level or inside a function body, and no module-level
-import goes unused.  There is no linter in the toolchain, so this is the
-gate.  A name counts as used when it is loaded anywhere in the module or
-listed in ``__all__`` (the package's re-exports).
+import goes unused.  Partition enumeration (``iter_partitions``) is read
+only by ``measures.py``, where it is the independent oracle of the
+level-statistics DP; ``__init__.py`` re-exports it for users.  There is no
+linter in the toolchain, so this is the gate.  A name counts as used when
+it is loaded anywhere in the module or listed in ``__all__`` (the
+package's re-exports).
 """
 
 import ast
@@ -14,6 +17,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clentropy"
 MODULES = sorted(SRC.glob("*.py"))
+# partitions.py defines it, measures.py holds the oracle, __init__ re-exports
+ENUMERATION_ALLOWED = {"partitions.py", "measures.py", "__init__.py"}
 
 
 def private_imports(tree: ast.Module) -> list[str]:
@@ -46,6 +51,17 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
+def enumeration_reads(tree: ast.Module) -> list[str]:
+    """Imports of ``iter_partitions`` and attribute reads of it, at any depth."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "iter_partitions" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "iter_partitions")
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_across_modules(path):
     assert private_imports(ast.parse(path.read_text())) == []
@@ -54,6 +70,13 @@ def test_no_private_names_imported_across_modules(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ENUMERATION_ALLOWED], ids=lambda p: p.name
+)
+def test_partition_enumeration_only_in_the_oracle(path):
+    assert enumeration_reads(ast.parse(path.read_text())) == []
 
 
 def test_checks_catch_local_private_and_unused_imports():
@@ -67,3 +90,13 @@ def test_checks_catch_local_private_and_unused_imports():
     )
     assert private_imports(tree) == ["line 5: _hidden"]
     assert unused_imports(tree) == ["line 1: os"]
+
+
+def test_check_catches_partition_enumeration():
+    tree = ast.parse(
+        "from . import partitions\n"
+        "def f(n):\n"
+        "    from .partitions import iter_partitions\n"
+        "    return list(partitions.iter_partitions(n))\n"
+    )
+    assert enumeration_reads(tree) == ["line 3", "line 4"]
