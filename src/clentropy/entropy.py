@@ -39,7 +39,6 @@ from .groups import AbelianPGroup, is_prime, pow_le
 from .measures import (
     CLParams,
     auto_product_depth,
-    bound_series_tail,
     check_level_budget,
     hall_sum_partial,
     hall_tail_bounds,
@@ -47,6 +46,7 @@ from .measures import (
     level_stats_by_enumeration,
     normalizing_constant,
     pow_p_minus,
+    series_tail,
     truncation_level,
 )
 from .numerics import (
@@ -98,20 +98,28 @@ def _level_floor(u) -> int:
     return 2 + math.ceil(1 / (u + 1))
 
 
-def _entropy_tail(params: CLParams, F: Interval, N: int) -> Interval:
-    """T(N) enclosed, or [0, inf] when b_{N+1} is not certified below the
-    1/e ceiling (h is then not increasing over the omitted measures)."""
+def _entropy_tail(params: CLParams, F: Interval):
+    """tail_at(N) for one truncation walk: T(N) enclosed, or [0, inf] when
+    b_{N+1} is not certified below the 1/e ceiling (h is then not
+    increasing over the omitted measures)."""
     # h(b_n) = b_n (alpha + beta n) with alpha = -log F_u - log p and
     # beta = (u+1) log p; both in intervals, b_n = (F_u p) p^{-(u+1)n}.
-    rate = params.rate
-    scale = iv_mul(F, iv_from_int(params.p))
-    if not iv_mul(scale, pow_p_minus(params.p, rate, N + 1)).hi < _H_ARG_CEILING:
-        return Interval(0.0, math.inf)
-    L = iv_log_int(params.p)
-    mlf = iv_neg(iv_log(F))
-    alpha = iv_sub(mlf, L)
+    p, rate = params.p, params.rate
+    scale = iv_mul(F, iv_from_int(p))
+    L = iv_log_int(p)
+    alpha = iv_sub(iv_neg(iv_log(F)), L)
     beta = iv_mul_scalar(L, float(rate)) if params.integral else iv_mul(rate, L)
-    return bound_series_tail(params.p, rate, N, [alpha, beta], scale)
+    walk = series_tail(p, rate, [alpha, beta], scale)
+
+    def tail_at(N: int) -> Interval:
+        # At the validity floor b_{N+1} < 0.11 for every admissible (p, u),
+        # so this guard passes on every level the callers ask; it stays
+        # because it is the hypothesis of the tail argument.
+        if not iv_mul(scale, pow_p_minus(p, rate, N + 1)).hi < _H_ARG_CEILING:
+            return Interval(0.0, math.inf)
+        return walk(N)
+
+    return tail_at
 
 
 def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
@@ -129,7 +137,7 @@ def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     F = normalizing_constant(params, J)
     mlf = iv_neg(iv_log(F))
     N, tail = truncation_level(
-        lambda n: _entropy_tail(params, F, n), None, eps / 2,
+        _entropy_tail(params, F), None, eps / 2,
         _level_floor(params.u), "entropy", f"p={p}, u={params.u}",
         partial(check_level_budget, p),
     )
@@ -177,7 +185,7 @@ def entropy_by_definition(params: CLParams, N: int, J: int = 64) -> CertifiedVal
             f"truncation level {N} is below the validity floor {floor} for "
             f"u={params.u} (omitted class measures must stay below 1/e)"
         )
-    N, tail = truncation_level(lambda n: _entropy_tail(params, F, n), N)
+    N, tail = truncation_level(_entropy_tail(params, F), N)
     if tail.hi == math.inf:
         raise RefusalError(
             f"class-measure bound at level {N + 1} is not below 1/e; "

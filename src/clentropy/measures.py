@@ -23,6 +23,9 @@ Certification discipline:
   c = pi sqrt(2/3).  A tail is summed level-exactly over a strip past the
   truncation point and closed geometrically beyond the strip, where the
   level-to-level ratio e^{c/(2 sqrt n)} p^{-(u+1)} has dropped below 1.
+  A walk over candidate truncation levels (``truncation_level`` fed by
+  ``series_tail``) computes each level's strip term once, not once per
+  candidate whose strip contains it.
 """
 
 from __future__ import annotations
@@ -484,6 +487,68 @@ def hall_sum_partial(p: int, N: int) -> tuple[Fraction, Fraction]:
     return s_aut, s_ord
 
 
+def series_tail(
+    p: int,
+    rate,
+    coeffs: list[Interval],
+    scale: Interval,
+    strip: int = TAIL_STRIP,
+):
+    """The tail bound of ``bound_series_tail`` as a function of N, for one
+    truncation walk.
+
+    ``tail_at(N)`` returns exactly ``bound_series_tail(p, rate, N, coeffs,
+    scale, strip)``, at any N and in any order.  The strip term
+    pi(n) p^(-rate*n) P(n) of each level is computed once and kept for the
+    walk, so consecutive candidates, whose strips share all but one level,
+    pay for one new term each; the fold over the strip, the geometric
+    closure and the scaling are redone per N in the same order, so every
+    bound is bit-identical.  The memo lives as long as the returned
+    function.
+    """
+    up_coeffs = [Interval(max(c.lo, 0.0), max(c.hi, 0.0)) for c in coeffs]
+    degree = 0
+    for d in range(len(up_coeffs) - 1, -1, -1):
+        if up_coeffs[d].hi > 0.0:
+            degree = d
+            break
+    step = pow_p_minus(p, rate, 1)
+    terms = {}  # level n -> its strip term, for this walk only
+
+    def tail_at(N: int) -> Interval:
+        M = N + strip
+        acc = ZERO
+        for n in range(N + 1, M + 1):
+            term = terms.get(n)
+            if term is None:
+                term = iv_mul(iv_from_int(partition_count(n)), pow_p_minus(p, rate, n))
+                term = terms[n] = iv_mul(term, _poly_eval(coeffs, n))
+            acc = iv_add(acc, term)
+        ratio = iv_exp(
+            iv_div(PARTITION_GROWTH, iv_mul_scalar(iv_sqrt(iv_from_int(M + 1)), 2.0))
+        )
+        ratio = iv_mul(ratio, step)
+        if degree:
+            ratio = iv_mul(
+                ratio, iv_pow_int(iv_div(iv_from_int(M + 2), iv_from_int(M + 1)), degree)
+            )
+        if ratio.hi >= 1.0:
+            raise TailClosureError(
+                f"geometric tail closure failed at level {N} (strip to {M}): "
+                f"level ratio bound {ratio.hi:.6f} >= 1; the truncation level is "
+                f"too small for this decay rate"
+            )
+        lead = iv_mul(
+            iv_exp(iv_mul(PARTITION_GROWTH, iv_sqrt(iv_from_int(M + 1)))),
+            iv_mul(pow_p_minus(p, rate, M + 1), _poly_eval(up_coeffs, M + 1)),
+        )
+        closure = iv_div(lead, iv_sub(ONE, Interval(ratio.hi, ratio.hi)))
+        total = iv_mul(scale, iv_add(acc, closure))
+        return Interval(max(total.lo, 0.0), total.hi)
+
+    return tail_at
+
+
 def bound_series_tail(
     p: int,
     rate,
@@ -504,41 +569,12 @@ def bound_series_tail(
 
     (each factor bounds the corresponding level-to-level growth for
     n > M = N + strip).  rho >= 1 means the closure fails at this depth and
-    a TailClosureError is raised.
+    a TailClosureError is raised.  This is one evaluation of
+    ``series_tail``; a truncation walk asks ``series_tail`` directly, so
+    that each strip term is computed once per walk, not once per candidate
+    level.
     """
-    M = N + strip
-    acc = ZERO
-    for n in range(N + 1, M + 1):
-        term = iv_mul(iv_from_int(partition_count(n)), pow_p_minus(p, rate, n))
-        acc = iv_add(acc, iv_mul(term, _poly_eval(coeffs, n)))
-
-    up_coeffs = [Interval(max(c.lo, 0.0), max(c.hi, 0.0)) for c in coeffs]
-    degree = 0
-    for d in range(len(up_coeffs) - 1, -1, -1):
-        if up_coeffs[d].hi > 0.0:
-            degree = d
-            break
-    ratio = iv_exp(
-        iv_div(PARTITION_GROWTH, iv_mul_scalar(iv_sqrt(iv_from_int(M + 1)), 2.0))
-    )
-    ratio = iv_mul(ratio, pow_p_minus(p, rate, 1))
-    if degree:
-        ratio = iv_mul(
-            ratio, iv_pow_int(iv_div(iv_from_int(M + 2), iv_from_int(M + 1)), degree)
-        )
-    if ratio.hi >= 1.0:
-        raise TailClosureError(
-            f"geometric tail closure failed at level {N} (strip to {M}): "
-            f"level ratio bound {ratio.hi:.6f} >= 1; the truncation level is "
-            f"too small for this decay rate"
-        )
-    lead = iv_mul(
-        iv_exp(iv_mul(PARTITION_GROWTH, iv_sqrt(iv_from_int(M + 1)))),
-        iv_mul(pow_p_minus(p, rate, M + 1), _poly_eval(up_coeffs, M + 1)),
-    )
-    closure = iv_div(lead, iv_sub(ONE, Interval(ratio.hi, ratio.hi)))
-    total = iv_mul(scale, iv_add(acc, closure))
-    return Interval(max(total.lo, 0.0), total.hi)
+    return series_tail(p, rate, coeffs, scale, strip)(N)
 
 
 def _poly_eval(coeffs: list[Interval], n: int) -> Interval:
@@ -581,8 +617,8 @@ def total_mass(
     rate = params.rate
     scale = iv_mul(F, iv_from_int(p))
     N, tail = truncation_level(
-        lambda n: bound_series_tail(p, rate, n, [ONE], scale),
-        N, eps / 2, 1, "total mass", f"p={p}, u={params.u}", partial(check_level_budget, p),
+        series_tail(p, rate, [ONE], scale), N, eps / 2, 1,
+        "total mass", f"p={p}, u={params.u}", partial(check_level_budget, p),
     )
 
     if params.integral:

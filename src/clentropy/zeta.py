@@ -32,7 +32,6 @@ from .groups import is_prime
 from .measures import (
     CLParams,
     auto_product_depth,
-    bound_series_tail,
     check_level_budget,
     level_aut_reciprocal_sum,
     level_rank_sums,
@@ -40,6 +39,7 @@ from .measures import (
     normalizing_constant,
     partial_product,
     pow_p_minus,
+    series_tail,
     truncation_level,
 )
 from .numerics import (
@@ -146,9 +146,8 @@ def zeta_sum(params: ZetaParams, N: int = 30) -> CertifiedValue:
     p, k, s = params.p, params.k, params.s
     if k is None:
         raise ValueError("the group-sum route needs a finite level k")
-    rate = s + 1 if params.integral_s else iv_add(iv_point(float(s)), ONE)
     N, tail = truncation_level(
-        lambda n: bound_series_tail(p, rate, n, [ONE], iv_from_int(p)), N,
+        series_tail(p, CLParams(p, s).rate, [ONE], iv_from_int(p)), N,
         budget=partial(check_level_budget, p),
     )
     if params.integral_s:
@@ -260,7 +259,7 @@ def kl_direct(p: int, u1, u2, N: int | None = None, tol: float = 1e-6) -> Certif
     scale = iv_mul(F1, iv_from_int(p))
     coeffs = [iv_abs(c), iv_mul(iv_abs(delta), L)]
     N, tail = truncation_level(
-        lambda n: bound_series_tail(p, rate, n, coeffs, scale), N, tol / 2, 2,
+        series_tail(p, rate, coeffs, scale), N, tol / 2, 2,
         "divergence", f"p={p}, u1={u1}, u2={u2}", partial(check_level_budget, p),
     )
 
@@ -335,7 +334,7 @@ def cross_entropy_direct(
     scale = iv_mul(F1, iv_from_int(p))
     coeffs = [mlf2, iv_mul(iv_abs(iv_point(float(params2.u))), L), L]
     N, tail = truncation_level(
-        lambda n: bound_series_tail(p, rate, n, coeffs, scale), N, tol / 2, 2,
+        series_tail(p, rate, coeffs, scale), N, tol / 2, 2,
         "cross-entropy", f"p={p}, u1={u1}, u2={u2}", partial(check_level_budget, p),
     )
 

@@ -1,9 +1,13 @@
 """Measures on abelian p-groups: normalizing products, Hall sums, total mass."""
 
 import importlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clentropy import (
     AbelianPGroup,
@@ -25,9 +29,10 @@ from clentropy import (
 from clentropy import ZetaParams, cross_entropy_direct, entropy, entropy_by_definition
 from clentropy import kl_closed, kl_direct, zeta_product, zeta_sum
 from clentropy import measures
-from clentropy.groups import aut_order_parts
+from clentropy.groups import aut_order_parts, is_prime
 from clentropy.measures import (
     MAX_LEVEL_WORK,
+    TAIL_STRIP,
     check_enumeration_budget,
     check_level_budget,
     level_aut_reciprocal_sum,
@@ -35,9 +40,18 @@ from clentropy.measures import (
     level_stats,
     level_stats_by_enumeration,
     level_work,
+    series_tail,
     truncation_level,
 )
-from clentropy.numerics import ONE, Interval, iv_from_fraction, iv_from_int, iv_point
+from clentropy.numerics import (
+    ONE,
+    Interval,
+    iv_from_fraction,
+    iv_from_int,
+    iv_log_int,
+    iv_neg,
+    iv_point,
+)
 from clentropy.partitions import iter_partitions
 
 # ------------------------------------------------------------------ CLParams
@@ -329,14 +343,85 @@ def test_series_tail_dominates_true_remainder():
 
 
 def test_series_tail_closure_failure_raises():
-    with pytest.raises(TailClosureError):
-        bound_series_tail(2, iv_point(0.01), 5, [ONE], ONE)
+    # a walker raises at the same N, with the same text, as a single call
+    tail_at = series_tail(2, iv_point(0.01), [ONE], ONE)
+    for N in (5, 40):
+        with pytest.raises(TailClosureError) as single:
+            bound_series_tail(2, iv_point(0.01), N, [ONE], ONE)
+        with pytest.raises(TailClosureError) as walked:
+            tail_at(N)
+        assert f"at level {N} " in str(walked.value)
+        assert str(walked.value) == str(single.value)
 
 
 def test_series_tail_decreases_in_level():
     tails = [bound_series_tail(2, 1, N, [ONE], ONE).hi for N in (5, 10, 20, 30)]
     assert tails == sorted(tails, reverse=True)
     assert tails[-1] < 1e-5
+
+
+TAIL_CASES = {
+    "integral-rate": (2, 1, [ONE], ONE),
+    "interval-rate": (3, iv_point(1.5), [ONE, iv_point(0.25)], iv_from_int(3)),
+    # entropy-shaped: alpha = -log F - log p < 0, beta = (u+1) log p
+    "negative-constant": (2, 1, [iv_neg(iv_log_int(2)), iv_log_int(2)], iv_point(0.5)),
+}
+
+
+@pytest.mark.parametrize("case", TAIL_CASES.values(), ids=TAIL_CASES.keys())
+def test_series_tail_walker_is_order_independent(case):
+    p, rate, coeffs, scale = case
+    tail_at = series_tail(p, rate, coeffs, scale)
+    levels = list(range(1, 31))
+    shuffled = random.Random(5).choices(levels, k=40)
+    for N in levels + levels[::-1] + shuffled:
+        assert tail_at(N) == bound_series_tail(p, rate, N, coeffs, scale), N
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 3),
+    st.integers(0, 30),
+    st.lists(st.fractions(min_value=0, max_value=10, max_denominator=64), min_size=1, max_size=3),
+)
+def test_series_tail_contains_the_exact_strip_sum(p, rate, N, coeffs):
+    # sum_{n=N+1}^{M} pi(n) p^(-rate n) P(n) over the common denominator
+    # p^(rate M) * den, exactly
+    M = N + 400
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    num = sum(
+        partition_count(n) * p ** (rate * (M - n)) * sum(a * n**i for i, a in enumerate(ints))
+        for n in range(N + 1, M + 1)
+    )
+    bound = bound_series_tail(p, rate, N, [iv_from_fraction(c) for c in coeffs], ONE)
+    assert Fraction(bound.hi) >= Fraction(num, p ** (rate * M) * den)
+
+
+@pytest.mark.parametrize(
+    "call, start, level",
+    [
+        (lambda: entropy(CLParams(2, 0), 1e-6).H, 3, 42),
+        (lambda: kl_direct(2, 0, 1, tol=1e-6), 2, 42),
+        (lambda: total_mass(CLParams(3, 0.5), eps=1e-8), 1, 15),
+    ],
+    ids=["entropy", "kl_direct", "total_mass"],
+)
+def test_truncation_walk_computes_each_strip_level_once(monkeypatch, call, start, level):
+    # A walk over start..N asks N - start + 1 tails; re-summing each strip
+    # would evaluate TAIL_STRIP levels per candidate.
+    asked = []
+
+    def counted(n):
+        asked.append(n)
+        return partition_count(n)
+
+    monkeypatch.setattr(measures, "partition_count", counted)
+    N = call().truncation_level
+    assert N == level
+    assert len(asked) <= N + TAIL_STRIP
+    assert sorted(asked) == list(range(start + 1, N + TAIL_STRIP + 1))
 
 
 def test_enumeration_budget_guard():
@@ -494,3 +579,20 @@ def test_definition_route_refuses_uncertified_class_measure_bound(monkeypatch):
     assert str(excinfo.value) == (
         "class-measure bound at level 6 is not below 1/e; increase the truncation level"
     )
+
+
+def test_class_measure_bound_at_the_validity_floor_is_below_0_11(monkeypatch):
+    # b_{N+1} = F_u p^{1-(u+1)(N+1)} <= (1 - x) x^3 with x = p^-(u+1) at
+    # N = _level_floor(u), so the 1/e guard in _entropy_tail holds with room
+    # at every level the entropy routes ask.  Checked through the guard
+    # itself, with the ceiling lowered to 0.11, the walk stubbed out, and
+    # F_u at J = 1, the widest upper bound any product depth gives.
+    entropy_module = importlib.import_module("clentropy.entropy")
+    monkeypatch.setattr(entropy_module, "_H_ARG_CEILING", 0.11)
+    monkeypatch.setattr(entropy_module, "series_tail", lambda *args: lambda N: ONE)
+    grid = [-0.999, -0.9, -0.75, -2 / 3, -0.585, -0.5, -0.25, 0, 0.5, 1, 1.5, 2, 3]
+    for p in (q for q in range(2, 98) if is_prime(q)):
+        for u in grid:
+            params = CLParams(p, u)
+            tail_at = entropy_module._entropy_tail(params, normalizing_constant(params, 1))
+            assert tail_at(entropy_module._level_floor(params.u)) == ONE, (p, u)
