@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -115,8 +116,8 @@ def _check_prime(parser, p: int) -> None:
 
 
 def _check_unit_rank(parser, u: float) -> None:
-    if not u > -1:
-        parser.error(f"unit-rank must be > -1, got {u:g}")
+    if not (math.isfinite(u) and u > -1):
+        parser.error(f"unit-rank must be finite and > -1, got {u:g}")
 
 
 def _cl_params(parser, p: int, u: float) -> CLParams:
@@ -228,8 +229,8 @@ def cmd_zeta(parser, args) -> tuple[list[dict], int]:
             parser.error("--k expects a positive integer or 'inf'")
         if k < 1:
             parser.error("--k expects a positive integer or 'inf'")
-    if not args.s > -1:
-        parser.error(f"--s must be > -1, got {args.s:g}")
+    if not (math.isfinite(args.s) and args.s > -1):
+        parser.error(f"--s must be finite and > -1, got {args.s:g}")
     if args.N < 1:
         parser.error("--N must be >= 1")
     params = ZetaParams(args.p, k, args.s)

@@ -16,10 +16,11 @@ Three independent cross-checks are provided:
 
 - the block-matrix formula of Hillar & Rhea (Amer. Math. Monthly 114,
   2007), whose derivation is unrelated to the partition formula above;
-- a literal brute force that enumerates endomorphisms and tests
-  bijectivity on the elements.  Its work #Hom(A,A) * #A outgrows any budget
-  quickly: (Z/2)^8 has 2^64 endomorphisms, so at order <= 2^8 and <= 3^5 it
-  reaches 64 of the 84 groups within 1.2e9 evaluations;
+- a literal brute force that enumerates every endomorphism and tests
+  injectivity on the p^r - 1 nonzero elements of the socle A[p] (a
+  nontrivial kernel meets A[p]).  Its budget counts #Hom(A,A) * #A, which
+  outgrows any budget quickly: (Z/2)^8 has 2^64 endomorphisms, so at order
+  <= 2^8 and <= 3^5 it reaches 64 of the 84 groups within 1.2e9;
 - an exhaustive count of generating tuples of images by a DP over the
   subgroup generated so far.  It lists no endomorphism, so it reaches every
   group of order <= BRUTEFORCE_MAX_ORDER, all 84 of the groups above
@@ -189,11 +190,19 @@ def aut_order_bruteforce(a: AbelianPGroup, work_budget: int = BRUTEFORCE_WORK_BU
     """Count automorphisms by exhaustive endomorphism enumeration.
 
     Endomorphisms are r x r generator-image matrices; entry (i, j) ranges
-    over the multiples of p^max(0, e_j - e_i) modulo p^{e_j}.  Each candidate
-    is applied to every group element and accepted iff the induced map is a
-    permutation.  Refuses when the order exceeds BRUTEFORCE_MAX_ORDER or the
-    total work #Hom * #A exceeds ``work_budget`` -- enumeration is hopeless
-    there (already #Aut((Z/2)^8) ~ 5e18 exceeds any conceivable budget).
+    over the multiples of p^max(0, e_j - e_i) modulo p^{e_j}.  Every one of
+    them is enumerated and applied, by the group law, to the p^r - 1 nonzero
+    elements of the socle A[p] = {sum_j c_j p^(e_j - 1) x_j : 0 <= c_j < p}.
+    A candidate is accepted iff no such element maps to zero: a nontrivial
+    kernel is a nontrivial p-group and so meets A[p], and an injective
+    self-map of a finite set is bijective.
+
+    Refuses when the order exceeds BRUTEFORCE_MAX_ORDER or when
+    #Hom * #A, the work of a check on every element, exceeds
+    ``work_budget``.  The budget keeps that unit although only p^r - 1
+    elements are evaluated, so which groups it refuses does not depend on
+    their socle (already #Aut((Z/2)^8) ~ 5e18 exceeds any conceivable
+    budget).
     """
     import numpy as np
 
@@ -216,10 +225,12 @@ def aut_order_bruteforce(a: AbelianPGroup, work_budget: int = BRUTEFORCE_WORK_BU
             f"x {order} elements exceeds the work budget {work_budget}"
         )
 
-    # All group elements as coordinate rows, plus an injective encoding.
-    grids = np.meshgrid(*[np.arange(m, dtype=np.int64) for m in mods], indexing="ij")
-    elements = np.stack([g.ravel() for g in grids], axis=1)  # (order, r)
-    enc_weights = np.empty(r, dtype=np.int64)
+    # Nonzero socle elements as coordinate rows, and an injective encoding
+    # of reduced images (only the zero element has code 0).
+    digits = np.indices((p,) * r).reshape(r, -1).T[1:]
+    socle = (digits * np.array([p ** (e - 1) for e in exps])).astype(np.float32)
+    n = len(socle)  # p^r - 1
+    enc_weights = np.empty(r, dtype=np.float32)
     acc = 1
     for j in range(r - 1, -1, -1):
         enc_weights[j] = acc
@@ -234,41 +245,41 @@ def aut_order_bruteforce(a: AbelianPGroup, work_budget: int = BRUTEFORCE_WORK_BU
         [[p ** min(exps[i], exps[j]) for j in range(r)] for i in range(r)],
         dtype=np.int64,
     ).ravel()
-    mods_col = np.array(mods, dtype=np.int64)[None, None, :]
+    mods_col = np.array(mods, dtype=np.float32)[None, :, None]
 
     # Images are computed through float32 matrix products so the heavy inner
     # loop runs in BLAS; every intermediate is an exact small integer
     # (at most r * 255^2 < 2^24, within float32's exact range), so nothing
-    # is lost to rounding.
-    assert r * (max(mods) - 1) ** 2 < 1 << 24
-    chunk = max(1, min(hom_count, (1 << 23) // max(1, order * r)))
+    # is lost to rounding.  Reduction mod m takes floor(y / m): y / m is
+    # correctly rounded, and with y + m <= 2^24 it cannot round up to the
+    # next integer, so floor(y / m) * m and y - floor(y / m) * m are exact.
+    assert r * (max(mods) - 1) ** 2 + max(mods) <= 1 << 24
+    # Bytes held per candidate: the int64 index and divmod temporaries, the
+    # int64 entries and their scaled copy (r^2 each), the float32 matrix and
+    # its transposed copy, then images and quotients (n * r each) and codes.
+    per_candidate = 24 + 24 * r * r + 8 * n * r + 5 * n
+    chunk = max(1, min(hom_count, (1 << 22) // per_candidate))
     count = 0
     start = 0
-    elements_f = elements.astype(np.float32)
-    enc32 = enc_weights.astype(np.int32)
-    mods32 = np.array(mods, dtype=np.int32)[None, None, :]
     while start < hom_count:
         stop = min(start + chunk, hom_count)
         b = stop - start
-        ks = np.arange(start, stop, dtype=np.int64)
+        rem = np.arange(start, stop, dtype=np.int64)
         # Mixed-radix decode of the endomorphism index into matrix entries.
         entries = np.empty((b, r * r), dtype=np.int64)
-        rem = ks
         for pos in range(r * r - 1, -1, -1):
-            rad = int(radii[pos])
-            entries[:, pos] = rem % rad
-            rem = rem // rad
+            rem, entries[:, pos] = np.divmod(rem, radii[pos])
         mats = (entries.reshape(b, r, r) * steps[None, :, :]).astype(np.float32)
-        # one large product per chunk: (order, r) @ (r, b*r) keeps BLAS busy
-        stacked = mats.transpose(1, 0, 2).reshape(r, b * r)
-        images = (elements_f @ stacked).reshape(order, b, r).astype(np.int32)
-        images %= mods32
-        codes = images @ enc32  # (order, b): element -> image code
-        # permutation test: scatter each column onto [0, order) and demand
-        # full coverage (order hits on order slots means no collision)
-        visited = np.zeros((b, order), dtype=bool)
-        visited[np.arange(b)[None, :], codes] = True
-        count += int(visited.all(axis=1).sum())
+        # one product per chunk: (n, r) @ (r, r*b), column j*b + k holding
+        # coordinate j of candidate k, so each reduction runs along b
+        stacked = mats.transpose(1, 2, 0).reshape(r, r * b)
+        images = (socle @ stacked).reshape(n, r, b)
+        quotients = images / mods_col
+        np.floor(quotients, out=quotients)
+        quotients *= mods_col
+        images -= quotients
+        codes = enc_weights @ images  # (n, b): socle element -> image code
+        count += int(np.count_nonzero(codes.all(axis=0)))
         start = stop
     return count
 

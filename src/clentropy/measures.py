@@ -92,7 +92,7 @@ class CLParams:
         if isinstance(u, bool) or not isinstance(u, (int, float)):
             raise ValueError(f"unit-rank must be a real number, got {u!r}")
         if not math.isfinite(u) or not u > -1:
-            raise ValueError(f"unit-rank must be > -1, got {u!r}")
+            raise ValueError(f"unit-rank must be finite and > -1, got {u!r}")
         if isinstance(u, float) and u.is_integer() and u >= 0:
             object.__setattr__(self, "u", int(u))
 

@@ -83,7 +83,7 @@ class ZetaParams:
         if isinstance(s, bool) or not isinstance(s, (int, float)):
             raise ValueError(f"evaluation point must be real, got {s!r}")
         if not math.isfinite(s) or not s > -1:
-            raise ValueError(f"evaluation point must be > -1, got {s!r}")
+            raise ValueError(f"evaluation point must be finite and > -1, got {s!r}")
         if isinstance(s, float) and s.is_integer():
             object.__setattr__(self, "s", int(s))
 

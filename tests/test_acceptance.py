@@ -153,12 +153,15 @@ def test_c06_hall_identity_at_level_25():
     )
 
 
-# Work metric: #Hom(A,A) * #A, the number of image evaluations needed for a
-# full permutation check.  1.2e9 fills the five-minute envelope on one core;
-# the cheapest group beyond it, lambda'=(2,1,1,1,1) at p=2, already needs
-# 4.3e9 (about 20 minutes), and (1^8) needs 2^72.  Neither this budget nor
-# the 20 refusals it implies may be loosened: the generating-tuple count
-# covers those groups without touching the enumeration route.
+# Work metric: #Hom(A,A) * #A, the number of image evaluations a full
+# permutation check needs.  The enumeration evaluates only the p^r - 1
+# nonzero socle elements, but its budget keeps this unit.  The 64 groups
+# within 1.2e9 take about 15 s on a 2-core VM, 12 s of it on (Z/2)^5, whose
+# socle is the whole group; the cheapest group beyond the budget,
+# lambda'=(2,1,1,1,1) at p=2, needs 4.3e9, and (1^8) needs 2^72.  Neither
+# this budget nor the 20 refusals it implies may be loosened: the
+# generating-tuple count covers those groups without touching the
+# enumeration route.
 C07_WORK_BUDGET = 1_200_000_000
 
 

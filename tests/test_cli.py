@@ -164,6 +164,14 @@ def test_usage_errors(capsys):
         ["table", "--p", "2", "--u", "0", "--max-order-exponent", "21"], capsys
     )
     assert "max-order-exponent" in err
+    for argv in (
+        ["entropy", "--p", "2", "--u", "inf"],
+        ["kl", "--p", "2", "--u1", "0", "--u2", "inf"],
+        ["table", "--p", "2", "--u", "inf", "--max-order-exponent", "4"],
+        ["zeta", "--p", "2", "--k", "3", "--s", "inf"],
+    ):
+        err = run_main_expect_usage_error(argv, capsys)
+        assert "finite and > -1, got inf" in err, argv
 
 
 def test_refusal_emits_single_record_and_exit_3(capsys):

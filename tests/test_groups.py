@@ -1,5 +1,6 @@
 """Finite abelian p-groups: automorphism counts by three independent routes."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -163,6 +164,62 @@ def test_generating_tuples_use_no_closed_form(monkeypatch):
         assert aut_order_generating_tuples(AbelianPGroup(p, lam)) == expected
 
 
+def whole_group_permutation_count(a):
+    """#Aut by applying every endomorphism to every element (pure Python).
+
+    The reference for the socle test of ``aut_order_bruteforce``: a
+    candidate counts iff its images of all #A elements are distinct.
+    """
+    p, exps = a.p, a.lambda_prime
+    mods = [p**e for e in exps]
+    r = len(mods)
+    elements = list(itertools.product(*(range(m) for m in mods)))
+    entries = [
+        range(0, mods[j], p ** max(0, exps[j] - exps[i])) for i in range(r) for j in range(r)
+    ]
+    count = 0
+    for flat in itertools.product(*entries):
+        images = {
+            tuple(sum(x[i] * flat[i * r + j] for i in range(r)) % mods[j] for j in range(r))
+            for x in elements
+        }
+        count += len(images) == len(elements)
+    return count
+
+
+def test_socle_test_matches_whole_group_permutation_test():
+    checked = []
+    for p in (2, 3, 5):
+        for n in range(1, 9):
+            for lam in enumerate_partitions(n):
+                a = AbelianPGroup(p, lam)
+                if a.order > BRUTEFORCE_MAX_ORDER or bruteforce_hom_count(a) * a.order > 200_000:
+                    continue
+                assert aut_order_bruteforce(a) == whole_group_permutation_count(a), (p, lam)
+                checked.append((p, lam))
+    assert len(checked) == 32
+    # groups whose socle is a proper subgroup
+    assert {(2, (2, 1)), (2, (3, 1, 1)), (2, (4, 2)), (3, (3, 1))} <= set(checked)
+
+
+def test_bruteforce_uses_no_closed_form(monkeypatch):
+    import clentropy.groups as groups
+
+    def closed_form(*args):
+        raise AssertionError("closed form called")
+
+    monkeypatch.setattr(groups, "aut_order_parts", closed_form)
+    monkeypatch.setattr(groups, "aut_order_block_formula", closed_form)
+    monkeypatch.setattr(groups, "aut_order_generating_tuples", closed_form)
+    for p, lam, expected in [
+        (2, (1, 1, 1), 168),
+        (2, (2, 1, 1), 192),
+        (2, (3, 2, 1), 2048),
+        (3, (1, 1, 1), 11232),
+    ]:
+        assert aut_order_bruteforce(AbelianPGroup(p, lam)) == expected
+
+
 def test_bruteforce_refuses_oversized_order():
     with pytest.raises(RefusalError):
         aut_order_bruteforce(AbelianPGroup(2, (9,)))  # order 512
@@ -172,6 +229,12 @@ def test_bruteforce_refuses_oversized_endomorphism_count():
     # (Z/2)^8 has 2^64 endomorphisms: within the order cap, out of any budget
     with pytest.raises(RefusalError):
         aut_order_bruteforce(AbelianPGroup(2, (1,) * 8))
+    with pytest.raises(RefusalError) as excinfo:
+        aut_order_bruteforce(AbelianPGroup(2, (2, 1, 1, 1, 1)))
+    assert str(excinfo.value) == (
+        "brute-force automorphism count refused: 67108864 endomorphisms "
+        "x 64 elements exceeds the work budget 150000000"
+    )
 
 
 def test_bruteforce_budget_is_adjustable():
@@ -179,6 +242,12 @@ def test_bruteforce_budget_is_adjustable():
     with pytest.raises(RefusalError):
         aut_order_bruteforce(a, work_budget=10)
     assert aut_order_bruteforce(a, work_budget=10**6) == 6
+    # the budget counts #Hom * #A: 32 * 8 = 256 for Z/4 x Z/2, though only
+    # its 3 nonzero socle elements are evaluated
+    b = AbelianPGroup(2, (2, 1))
+    with pytest.raises(RefusalError):
+        aut_order_bruteforce(b, work_budget=255)
+    assert aut_order_bruteforce(b, work_budget=256) == 8
 
 
 def test_exponent_forms_agree_exactly():

@@ -64,7 +64,7 @@ def test_params_validation():
         CLParams(2, -1)
     with pytest.raises(ValueError):
         CLParams(2, -1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"finite and > -1, got inf"):
         CLParams(2, float("inf"))
     with pytest.raises(ValueError):
         CLParams(2, True)

@@ -8,10 +8,16 @@ level-statistics DP; ``__init__.py`` re-exports it for users.  There is no
 linter in the toolchain, so this is the gate.  A name counts as used when
 it is loaded anywhere in the module or listed in ``__all__`` (the
 package's re-exports).
+
+numpy and mpmath are imported only inside the functions that need them:
+numpy alone costs tens of milliseconds, a large share of a cold CLI call
+that never touches it.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +25,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clentropy"
 MODULES = sorted(SRC.glob("*.py"))
 # partitions.py defines it, measures.py holds the oracle, __init__ re-exports
 ENUMERATION_ALLOWED = {"partitions.py", "measures.py", "__init__.py"}
+HEAVY_IMPORTS = {"numpy", "mpmath"}
 
 
 def private_imports(tree: ast.Module) -> list[str]:
@@ -62,6 +69,29 @@ def enumeration_reads(tree: ast.Module) -> list[str]:
     ]
 
 
+def eager_imports(tree: ast.Module) -> list[str]:
+    """Imports of numpy or mpmath that run when the module is imported."""
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            names = []
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name.split(".")[0] in HEAVY_IMPORTS
+        ]
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_across_modules(path):
     assert private_imports(ast.parse(path.read_text())) == []
@@ -100,3 +130,37 @@ def test_check_catches_partition_enumeration():
         "    return list(partitions.iter_partitions(n))\n"
     )
     assert enumeration_reads(tree) == ["line 3", "line 4"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_and_mpmath_imported_lazily(path):
+    assert eager_imports(ast.parse(path.read_text())) == []
+
+
+def test_check_catches_eager_imports():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "try:\n"
+        "    from mpmath import iv\n"
+        "except ImportError:\n"
+        "    iv = None\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    return numpy\n"
+    )
+    assert eager_imports(tree) == ["line 1: numpy", "line 3: mpmath"]
+
+
+def test_package_import_leaves_numpy_and_mpmath_unloaded():
+    probe = (
+        "import sys, clentropy\n"
+        "print(sorted(name for name in ('numpy', 'mpmath') if name in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=SRC.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -83,6 +83,8 @@ def test_zeta_params_validation():
         ZetaParams(2, 0, 0)
     with pytest.raises(ValueError):
         ZetaParams(2, 1, -1.0)
+    with pytest.raises(ValueError, match=r"finite and > -1, got inf"):
+        ZetaParams(2, 1, float("inf"))
     assert ZetaParams(2, 1, 2.0).s == 2  # integral floats normalize
     assert ZetaParams(2, None, 0).k is None
 
