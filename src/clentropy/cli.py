@@ -231,8 +231,6 @@ def cmd_zeta(parser, args) -> tuple[list[dict], int]:
             parser.error("--k expects a positive integer or 'inf'")
     if not (math.isfinite(args.s) and args.s > -1):
         parser.error(f"--s must be finite and > -1, got {args.s:g}")
-    if args.N < 1:
-        parser.error("--N must be >= 1")
     params = ZetaParams(args.p, k, args.s)
     records = []
 
@@ -258,7 +256,7 @@ def cmd_zeta(parser, args) -> tuple[list[dict], int]:
     if "sum" in want:
         if k is None:
             parser.error("--mode sum needs a finite --k")
-        total = zeta_sum(params, args.N)
+        total = zeta_sum(params)
         records.append(
             record("sum", total.enclosure(), total.truncation_level, total.tail_bound)
         )
@@ -350,7 +348,7 @@ def _verify_zeta() -> dict:
             for s in (0, 1):
                 checks += 1
                 params = ZetaParams(p, k, float(s))
-                if not zeta_product(params).overlaps(zeta_sum(params, 20).enclosure()):
+                if not zeta_product(params).overlaps(zeta_sum(params).enclosure()):
                     failures.append(f"p={p} k={k} s={s}")
     for p, k, s in ((2, 2, 0.0), (3, 1, 1.0)):
         checks += 1
@@ -378,6 +376,8 @@ def _verify_margins() -> dict:
 
 
 def cmd_verify(parser, args) -> tuple[list[dict], int]:
+    if not 1 <= args.n_max <= 20:
+        parser.error("--n-max must lie in [1, 20]")
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     runners = {
         "lemma1": lambda: _verify_lemma1(args.n_max),
@@ -447,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta.add_argument("--p", type=int, required=True)
     p_zeta.add_argument("--k", required=True, help="level (positive integer or 'inf')")
     p_zeta.add_argument("--s", type=float, required=True)
-    p_zeta.add_argument("--N", type=int, default=30, help="group-sum truncation")
     p_zeta.add_argument(
         "--mode", choices=("product", "sum", "derivative", "all"), default="all"
     )

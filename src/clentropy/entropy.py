@@ -5,16 +5,17 @@ H = -sum nu log nu rearranges (using sum nu = 1) to
 
     H(nu) = -log F_u + F_u * sum_{A != 1} log(x_A) / x_A,
 
-which is the form computed here: the per-level sums of 1/#Aut and
-log(#Aut)/#Aut are cached once per (p, n) and recombined for every
-unit-rank.  The remainder past level N lies in [0, T(N)] with
+which is the form computed here, by rank: log x_A = u n log p + log #Aut
+sums to u log p N(a) + G(a) over rank a (``measures.RankChain``).  The rest
+past rank R >= 1 is one-sided: a group of rank >= 2 has #Aut A >= #A, so
+x_A >= #A^(u+1) > 1.  The direct-definition route, an independent
+cross-check, sums h(nu(A)) level by level over listed partitions; its
+remainder past level N lies in [0, T(N)] with
 
     T(N) = sum_{n>N} pi(n) h(F_u p^{1-(u+1)n}),    h(x) = -x log x,
 
 because each omitted class has measure below b_n = F_u p^{1-(u+1)n} <= 1/e
-(enforced by a floor on N) and h is increasing on (0, 1/e].  The same
-bound certifies the direct-definition route, which exists as an
-independent cross-check.
+(enforced by a floor on N) and h is increasing on (0, 1/e].
 
 The family is strictly entropy-decreasing in integral u.  The engine of
 that fact is the per-term inequality
@@ -32,22 +33,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .errors import RefusalError
 from .groups import AbelianPGroup, is_prime, pow_le
 from .measures import (
     CLParams,
+    RankChain,
     auto_product_depth,
-    check_level_budget,
+    bound_series_tail,
+    check_enumeration_budget,
     hall_sum_partial,
     hall_tail_bounds,
-    level_stats,
     level_stats_by_enumeration,
     normalizing_constant,
     pow_p_minus,
-    series_tail,
-    truncation_level,
+    rank_series,
 )
 from .numerics import (
     ONE,
@@ -98,37 +98,31 @@ def _level_floor(u) -> int:
     return 2 + math.ceil(1 / (u + 1))
 
 
-def _entropy_tail(params: CLParams, F: Interval):
-    """tail_at(N) for one truncation walk: T(N) enclosed, or [0, inf] when
-    b_{N+1} is not certified below the 1/e ceiling (h is then not
-    increasing over the omitted measures)."""
+def _entropy_tail(params: CLParams, F: Interval, N: int) -> Interval:
+    """T(N) enclosed, or [0, inf] when b_{N+1} is not certified below the
+    1/e ceiling (h is then not increasing over the omitted measures)."""
     # h(b_n) = b_n (alpha + beta n) with alpha = -log F_u - log p and
     # beta = (u+1) log p; both in intervals, b_n = (F_u p) p^{-(u+1)n}.
     p, rate = params.p, params.rate
     scale = iv_mul(F, iv_from_int(p))
+    # At the validity floor b_{N+1} < 0.11 for every admissible (p, u), so
+    # this guard passes on every level the definition route accepts; it
+    # stays because it is the hypothesis of the tail argument.
+    if not iv_mul(scale, pow_p_minus(p, rate, N + 1)).hi < _H_ARG_CEILING:
+        return Interval(0.0, math.inf)
     L = iv_log_int(p)
     alpha = iv_sub(iv_neg(iv_log(F)), L)
     beta = iv_mul_scalar(L, float(rate)) if params.integral else iv_mul(rate, L)
-    walk = series_tail(p, rate, [alpha, beta], scale)
-
-    def tail_at(N: int) -> Interval:
-        # At the validity floor b_{N+1} < 0.11 for every admissible (p, u),
-        # so this guard passes on every level the callers ask; it stays
-        # because it is the hypothesis of the tail argument.
-        if not iv_mul(scale, pow_p_minus(p, rate, N + 1)).hi < _H_ARG_CEILING:
-            return Interval(0.0, math.inf)
-        return walk(N)
-
-    return tail_at
+    return bound_series_tail(p, rate, N, [alpha, beta], scale)
 
 
 def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     """Certified H(nu) with H.value.width <= eps.
 
-    The truncation level is the smallest one whose tail bound is below
-    eps/2 (subject to the 1/e floor on omitted class measures); refuses if
-    no level up to the hard cap gets there, or if rounding noise leaves the
-    final interval wider than eps.
+    The rank cutoff R (reported as the truncation level) is the first one
+    whose rest is below eps/2 and no wider than the partial sum; refuses if
+    no R up to ``MAX_RANK`` gets there, or if rounding leaves the final
+    interval wider than eps.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -136,24 +130,11 @@ def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     J = auto_product_depth(p, params.u, eps / 16)
     F = normalizing_constant(params, J)
     mlf = iv_neg(iv_log(F))
-    N, tail = truncation_level(
-        _entropy_tail(params, F), None, eps / 2,
-        _level_floor(params.u), "entropy", f"p={p}, u={params.u}",
-        partial(check_level_budget, p),
+    weights = (ZERO, iv_mul_scalar(iv_log_int(p), float(params.u)), ONE)
+    R, ws_value, rest = rank_series(
+        RankChain(params), F, weights, eps / 2, "entropy", f"p={p}, u={params.u}"
     )
-
-    L = iv_log_int(p)
-    acc = ZERO
-    for n in range(1, N + 1):
-        r_iv, s_iv = level_stats(p, n)
-        pw = pow_p_minus(p, params.exponent, n)
-        if params.integral:
-            un_log = iv_mul_scalar(L, float(params.u * n))
-        else:
-            un_log = iv_mul(params.exponent, iv_mul_scalar(L, float(n)))
-        acc = iv_add(acc, iv_mul(pw, iv_add(iv_mul(un_log, r_iv), s_iv)))
-    ws_value = iv_mul(F, acc)
-    weighted_sum = CertifiedValue(ws_value, N, tail.hi)
+    weighted_sum = CertifiedValue(ws_value, R, rest)
     h_value = iv_add(mlf, weighted_sum.enclosure())
     if h_value.width > eps:
         raise RefusalError(
@@ -162,7 +143,7 @@ def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
         )
     return EntropyResult(
         params=params,
-        H=CertifiedValue(h_value, N, 0.0),
+        H=CertifiedValue(h_value, R, 0.0),
         minus_log_fu=mlf,
         weighted_sum=weighted_sum,
     )
@@ -172,10 +153,10 @@ def entropy_by_definition(params: CLParams, N: int, J: int = 64) -> CertifiedVal
     """Independent entropy route: truncated -sum nu log nu, tail folded in.
 
     Sums h(nu(A)) = nu(A)(-log nu(A)) levelwise through level N, then adds
-    [0, T(N)] exactly as in ``entropy``.  Used to cross-check the identity
-    route: its per-level statistics come from listing every partition
+    [0, T(N)].  Used to cross-check the identity route: its per-level
+    statistics come from listing every partition
     (``level_stats_by_enumeration``, under the enumeration budget), not
-    from the transfer DP that the identity route reads.
+    from the rank chain that the identity route reads.
     """
     p = params.p
     F = normalizing_constant(params, J)
@@ -185,7 +166,8 @@ def entropy_by_definition(params: CLParams, N: int, J: int = 64) -> CertifiedVal
             f"truncation level {N} is below the validity floor {floor} for "
             f"u={params.u} (omitted class measures must stay below 1/e)"
         )
-    N, tail = truncation_level(_entropy_tail(params, F), N)
+    check_enumeration_budget(N)
+    tail = _entropy_tail(params, F, N)
     if tail.hi == math.inf:
         raise RefusalError(
             f"class-measure bound at level {N + 1} is not below 1/e; "

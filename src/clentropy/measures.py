@@ -14,18 +14,18 @@ Certification discipline:
 
 * every real-valued result is an Interval or CertifiedValue enclosing the
   exact quantity;
-* sums with no logarithm in them (Hall sums, truncated mass sums at
-  integral u) are accumulated in exact rational arithmetic and converted
-  to an interval once at the end;
-* truncated series carry tail bounds built from two ingredients only:
+* Hall sums are accumulated in exact rational arithmetic and converted to
+  an interval once at the end;
+* series over all groups are summed by rank (``RankChain``, walked by
+  ``rank_series``), with a proven tail past rank R that falls like p^(-R^2);
+* level series that list partitions (the definition-route entropy, the
+  Hall sums) carry tail bounds built from two ingredients only:
   #Aut A >= #A (1 - 1/p) >= p^{n-1} for #A = p^n (so 1/#Aut <= p^{1-n}),
   and the unconditional partition-count bound pi(n) < e^{c sqrt n} with
   c = pi sqrt(2/3).  A tail is summed level-exactly over a strip past the
   truncation point and closed geometrically beyond the strip, where the
-  level-to-level ratio e^{c/(2 sqrt n)} p^{-(u+1)} has dropped below 1.
-  A walk over candidate truncation levels (``truncation_level`` fed by
-  ``series_tail``) computes each level's strip term once, not once per
-  candidate whose strip contains it.
+  level-to-level ratio e^{c/(2 sqrt n)} p^{-(u+1)} has dropped below 1
+  (``bound_series_tail``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import RefusalError, TailClosureError
 from .groups import aut_order_parts, is_prime
@@ -43,11 +43,13 @@ from .numerics import (
     ZERO,
     CertifiedValue,
     Interval,
+    iv_abs,
     iv_add,
     iv_div,
     iv_exp,
     iv_from_fraction,
     iv_from_int,
+    iv_log,
     iv_log_int,
     iv_mul,
     iv_mul_scalar,
@@ -60,13 +62,10 @@ from .numerics import (
 )
 from .partitions import iter_partitions, partition_count
 
-# Hard ceiling on truncation depth; past this we refuse rather than grind.
-MAX_LEVEL = 600
 MAX_ENUM_PARTITIONS = 2_000_000
-# Budget of the transfer DP behind the level statistics, in the units of
-# ``level_work``: about 3 s of fill and +9 MB of peak RSS at p = 2, N = 90
-# (work 9.1e10) on a 2-core Xeon VM with Python 3.11.
-MAX_LEVEL_WORK = 10**11
+# Ceiling on the rank cutoff of a chain series: its rest falls like p^(-R^2),
+# so R <= 8 reaches eps = 1e-12 for every p and u, and R = 20 is past 2^-400.
+MAX_RANK = 20
 # Levels summed exactly past the truncation point before the geometric
 # closure takes over (the closure alone, started right at N, is far too
 # coarse for small p and u).
@@ -230,12 +229,8 @@ class _TransferDP:
     c: the prefix exponent is at most s^2, and prod q_{m_i} divides q_s
     because the q-multinomial is an integer.
 
-    The rank-resolved sums run the columns smallest first, so that the last
-    column is the rank: state (w, c) is the sum of 1/#Aut over the types of
-    weight w and rank c, an integer over p^(cw) q_c.  Every such state feeds
-    all higher levels, so this table has no expectation part and is built
-    only when asked for.  Both tables are filled level by level and pulled
-    on demand; a level already built is a list lookup.
+    The table is filled level by level and pulled on demand; a level
+    already built is a list lookup.
     """
 
     def __init__(self, p: int):
@@ -244,8 +239,6 @@ class _TransferDP:
         self.log_q = [ZERO]
         self.prefix = {}  # weight -> {last column: (value, p-exponent sum, {m: count sum})}
         self.levels = []  # n -> (R_n, R_n enclosure, S_n enclosure)
-        self.rank_states = [{0: 1}]  # weight -> {rank: value}
-        self.ranks = []  # n -> (R_{n,0}, ..., R_{n,n})
 
     def _extend_q(self, n: int) -> None:
         q = self.q
@@ -259,13 +252,6 @@ class _TransferDP:
         while len(self.levels) <= n:
             self._build_level(len(self.levels))
         return self.levels[n]
-
-    def rank_sums(self, n: int) -> tuple[Fraction, ...]:
-        if n < 0:
-            raise ValueError("level must be >= 0")
-        while len(self.ranks) <= n:
-            self._build_ranks(len(self.ranks))
-        return self.ranks[n]
 
     def _extend(self, acc: list, state: tuple, scale: int, c: int, m: int) -> None:
         """acc += state * scale, with the column pair (c, c - m) appended:
@@ -324,41 +310,10 @@ class _TransferDP:
             if not self.prefix[w]:
                 del self.prefix[w]
 
-    def _build_ranks(self, n: int) -> None:
-        p, q = self.p, self.q
-        self._extend_q(n)
-        if n == 0:
-            self.ranks.append((Fraction(1),))
-            return
-        row = {}
-        for c in range(1, n + 1):
-            w = n - c
-            value = 0
-            for c0, v0 in self.rank_states[w].items():
-                if c0 <= c:
-                    m = c - c0
-                    scale = p ** (m * w + m * (m + 1) // 2) * (q[c] // (q[c0] * q[m]))
-                    value += v0 * scale
-            row[c] = value
-        self.rank_states.append(row)
-        self.ranks.append(
-            (Fraction(0),) + tuple(Fraction(row[c], p ** (c * n) * q[c]) for c in range(1, n + 1))
-        )
-
 
 @lru_cache(maxsize=None)
 def _transfer(p: int) -> _TransferDP:
     return _TransferDP(p)
-
-
-def level_aut_reciprocal_sum(p: int, n: int) -> Fraction:
-    """sum over partitions of n of 1/#Aut, as an exact rational.
-
-    These per-level sums are the common currency of the truncated mass sums
-    and the direct divergence sums; the transfer DP caches them per (p, n),
-    so every consumer is a cheap weighted recombination.
-    """
-    return _transfer(p).level(n)[0]
 
 
 def level_stats(p: int, n: int) -> tuple[Interval, Interval]:
@@ -367,16 +322,11 @@ def level_stats(p: int, n: int) -> tuple[Interval, Interval]:
     R_n = sum 1/#Aut (converted from the exact rational, so 1 ulp wide) and
     S_n = sum log(#Aut)/#Aut, an exact rational combination of log p and
     the log q_m.  Entropy- and divergence-type sums at level n are affine
-    combinations of these two for any unit-rank.
+    combinations of these two for any unit-rank.  No series reads them any
+    more (they are summed by rank); the warm-sweep benchmark fills them.
     """
     _, r_iv, s_iv = _transfer(p).level(n)
     return r_iv, s_iv
-
-
-def level_rank_sums(p: int, n: int) -> tuple[Fraction, ...]:
-    """(R_{n,0}, ..., R_{n,n}): the exact sums of 1/#Aut over the groups of
-    order p^n and each rank r."""
-    return _transfer(p).rank_sums(n)
 
 
 @lru_cache(maxsize=None)
@@ -398,24 +348,6 @@ def level_stats_by_enumeration(p: int, n: int) -> tuple[Fraction, Interval, Inte
     return r_frac, iv_from_fraction(r_frac), s_iv
 
 
-def level_work(p: int, N: int) -> int:
-    """Cost model of the level statistics through level N: sum_{n<=N} n^5
-    (log2 p)^1.5.  Level n makes O(n^3) big-integer updates of numbers
-    about n^2 log2 p bits long; this form fits measured fill times within a
-    factor 1.5 for p in {2, 3, 5, 97} and N up to 100."""
-    return round(math.log2(p) ** 1.5 * sum(n**5 for n in range(1, N + 1)))
-
-
-def check_level_budget(p: int, N: int) -> None:
-    """Refuse truncation levels whose level statistics are out of reach.
-
-    The transfer DP's cost grows like N^6 (log p)^1.5 (``level_work``), so a
-    slowly decaying series can still ask for a level whose statistics would
-    not finish; refusing keeps every accepted call cheap.
-    """
-    _check_budget(N, level_work(p, N), "DP bit-operations", MAX_LEVEL_WORK)
-
-
 def check_enumeration_budget(N: int) -> None:
     """Refuse truncation levels whose partition enumeration is infeasible.
 
@@ -425,45 +357,11 @@ def check_enumeration_budget(N: int) -> None:
     certifiably cheap.
     """
     work = sum(partition_count(n) for n in range(N + 1))
-    _check_budget(N, work, "partition tuples", MAX_ENUM_PARTITIONS)
-
-
-def _check_budget(N: int, work: int, unit: str, budget: int) -> None:
-    if work > budget:
+    if work > MAX_ENUM_PARTITIONS:
         raise RefusalError(
-            f"level {N} needs {work} {unit}, over the {budget} enumeration "
-            f"budget; the required truncation level is out of certified reach"
+            f"level {N} needs {work} partition tuples, over the {MAX_ENUM_PARTITIONS} "
+            f"enumeration budget; the required truncation level is out of certified reach"
         )
-
-
-def truncation_level(
-    tail_at, N: int | None, target: float = 0.0, start: int = 1,
-    series: str = "series", where: str = "", budget=check_enumeration_budget,
-) -> tuple[int, Interval]:
-    """The truncation level of a level series and its certified tail.
-
-    ``tail_at(n)`` bounds everything past level n.  An explicit N must be
-    >= 1 and pass ``budget`` (which refuses levels out of reach: the
-    enumeration budget by default, ``check_level_budget`` for the series
-    fed by the transfer DP), and its tail is returned as is.  Otherwise N
-    is the first level in start..MAX_LEVEL whose tail is below ``target``,
-    then checked against the budget; past the cap the series refuses,
-    naming itself and the parameters it was asked about.
-    """
-    if N is not None:
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        budget(N)
-        return N, tail_at(N)
-    for n in range(start, MAX_LEVEL + 1):
-        tail = tail_at(n)
-        if tail.hi < target:
-            budget(n)
-            return n, tail
-    raise RefusalError(
-        f"{series} tail cannot be pushed below {target:g} by level "
-        f"{MAX_LEVEL} at {where}"
-    )
 
 
 def hall_sum_partial(p: int, N: int) -> tuple[Fraction, Fraction]:
@@ -487,68 +385,6 @@ def hall_sum_partial(p: int, N: int) -> tuple[Fraction, Fraction]:
     return s_aut, s_ord
 
 
-def series_tail(
-    p: int,
-    rate,
-    coeffs: list[Interval],
-    scale: Interval,
-    strip: int = TAIL_STRIP,
-):
-    """The tail bound of ``bound_series_tail`` as a function of N, for one
-    truncation walk.
-
-    ``tail_at(N)`` returns exactly ``bound_series_tail(p, rate, N, coeffs,
-    scale, strip)``, at any N and in any order.  The strip term
-    pi(n) p^(-rate*n) P(n) of each level is computed once and kept for the
-    walk, so consecutive candidates, whose strips share all but one level,
-    pay for one new term each; the fold over the strip, the geometric
-    closure and the scaling are redone per N in the same order, so every
-    bound is bit-identical.  The memo lives as long as the returned
-    function.
-    """
-    up_coeffs = [Interval(max(c.lo, 0.0), max(c.hi, 0.0)) for c in coeffs]
-    degree = 0
-    for d in range(len(up_coeffs) - 1, -1, -1):
-        if up_coeffs[d].hi > 0.0:
-            degree = d
-            break
-    step = pow_p_minus(p, rate, 1)
-    terms = {}  # level n -> its strip term, for this walk only
-
-    def tail_at(N: int) -> Interval:
-        M = N + strip
-        acc = ZERO
-        for n in range(N + 1, M + 1):
-            term = terms.get(n)
-            if term is None:
-                term = iv_mul(iv_from_int(partition_count(n)), pow_p_minus(p, rate, n))
-                term = terms[n] = iv_mul(term, _poly_eval(coeffs, n))
-            acc = iv_add(acc, term)
-        ratio = iv_exp(
-            iv_div(PARTITION_GROWTH, iv_mul_scalar(iv_sqrt(iv_from_int(M + 1)), 2.0))
-        )
-        ratio = iv_mul(ratio, step)
-        if degree:
-            ratio = iv_mul(
-                ratio, iv_pow_int(iv_div(iv_from_int(M + 2), iv_from_int(M + 1)), degree)
-            )
-        if ratio.hi >= 1.0:
-            raise TailClosureError(
-                f"geometric tail closure failed at level {N} (strip to {M}): "
-                f"level ratio bound {ratio.hi:.6f} >= 1; the truncation level is "
-                f"too small for this decay rate"
-            )
-        lead = iv_mul(
-            iv_exp(iv_mul(PARTITION_GROWTH, iv_sqrt(iv_from_int(M + 1)))),
-            iv_mul(pow_p_minus(p, rate, M + 1), _poly_eval(up_coeffs, M + 1)),
-        )
-        closure = iv_div(lead, iv_sub(ONE, Interval(ratio.hi, ratio.hi)))
-        total = iv_mul(scale, iv_add(acc, closure))
-        return Interval(max(total.lo, 0.0), total.hi)
-
-    return tail_at
-
-
 def bound_series_tail(
     p: int,
     rate,
@@ -569,12 +405,40 @@ def bound_series_tail(
 
     (each factor bounds the corresponding level-to-level growth for
     n > M = N + strip).  rho >= 1 means the closure fails at this depth and
-    a TailClosureError is raised.  This is one evaluation of
-    ``series_tail``; a truncation walk asks ``series_tail`` directly, so
-    that each strip term is computed once per walk, not once per candidate
-    level.
+    a TailClosureError is raised.
     """
-    return series_tail(p, rate, coeffs, scale, strip)(N)
+    up_coeffs = [Interval(max(c.lo, 0.0), max(c.hi, 0.0)) for c in coeffs]
+    degree = 0
+    for d in range(len(up_coeffs) - 1, -1, -1):
+        if up_coeffs[d].hi > 0.0:
+            degree = d
+            break
+    M = N + strip
+    acc = ZERO
+    for n in range(N + 1, M + 1):
+        term = iv_mul(iv_from_int(partition_count(n)), pow_p_minus(p, rate, n))
+        acc = iv_add(acc, iv_mul(term, _poly_eval(coeffs, n)))
+    ratio = iv_exp(
+        iv_div(PARTITION_GROWTH, iv_mul_scalar(iv_sqrt(iv_from_int(M + 1)), 2.0))
+    )
+    ratio = iv_mul(ratio, pow_p_minus(p, rate, 1))
+    if degree:
+        ratio = iv_mul(
+            ratio, iv_pow_int(iv_div(iv_from_int(M + 2), iv_from_int(M + 1)), degree)
+        )
+    if ratio.hi >= 1.0:
+        raise TailClosureError(
+            f"geometric tail closure failed at level {N} (strip to {M}): "
+            f"level ratio bound {ratio.hi:.6f} >= 1; the truncation level is "
+            f"too small for this decay rate"
+        )
+    lead = iv_mul(
+        iv_exp(iv_mul(PARTITION_GROWTH, iv_sqrt(iv_from_int(M + 1)))),
+        iv_mul(pow_p_minus(p, rate, M + 1), _poly_eval(up_coeffs, M + 1)),
+    )
+    closure = iv_div(lead, iv_sub(ONE, Interval(ratio.hi, ratio.hi)))
+    total = iv_mul(scale, iv_add(acc, closure))
+    return Interval(max(total.lo, 0.0), total.hi)
 
 
 def _poly_eval(coeffs: list[Interval], n: int) -> Interval:
@@ -596,44 +460,166 @@ def hall_tail_bounds(p: int, N: int) -> tuple[Interval, Interval]:
     return aut_tail, ord_tail
 
 
-def total_mass(
-    params: CLParams,
-    N: int | None = None,
-    J: int | None = None,
-    eps: float = 1e-6,
-) -> CertifiedValue:
-    """Certified truncation of sum_A nu(A) (which is exactly 1).
+class RankChain:
+    """Sums over the groups of each rank at one (p, u), by a chain over
+    column lengths: no partition is listed and no closed form is read.
 
-    ``value`` encloses the partial sum over #A <= p^N and ``tail_bound``
-    dominates the omitted mass: level n > N carries at most
-    F_u pi(n) p^{1-(u+1)n}.  Depths default to the auto rule: J minimal with
-    p^{-u-J}/(p-1) < eps/4, N minimal with tail < eps/2.  The enclosure
-    value + [0, tail] must straddle 1; tests hold it to that.
+    Write mu_1 >= mu_2 >= ... > 0 for the conjugate of a group type (mu_1 is
+    the rank, #A = p^n with n = sum mu_j), m_j = mu_j - mu_{j+1} and
+    eta_m = prod_{k<=m} (1 - p^-k).  Macdonald's #Aut A = p^(sum mu_j^2)
+    prod_j eta_{m_j} factors over consecutive columns, so
+
+        p^(-u n) / #Aut A = prod_j w(mu_j, mu_{j+1}),
+        w(a, b) = x_a / eta_{a-b},   x_a = p^(-a(a+u)):
+
+    a chain that starts at the rank, steps down, has self-loops w(a, a) = x_a
+    and is absorbed at 0.  Over the groups of rank a let Z(a), N(a), G(a) sum
+    p^(-u n)/#Aut times 1, n and log #Aut.  With L = log p, Z(0) = 1,
+    N(0) = G(0) = 0, and each self-loop closed geometrically (the
+    expectation semiring of Li & Eisner, EMNLP 2009, per start state):
+
+        Z(a) = sum_{b<a} w(a,b) Z(b) / (1 - x_a),
+        N(a) = (a Z(a) + sum_{b<a} w(a,b) N(b)) / (1 - x_a),
+        G(a) = (a^2 L Z(a) + sum_{b<a} w(a,b) (G(b) + log(eta_{a-b}) Z(b))) / (1 - x_a).
+
+    Only x_a depends on u: one code path serves integral and non-integral u.
+
+    Rests past rank R >= 1 (``rests``).  With c_a = x_a / (eta_inf (1 - x_a))
+    and s_a = sum_{b<=a} b / (1 - x_b):
+
+    * Z(a) <= c_a sum_{b<a} Z(b), since eta_{a-b} >= eta_inf;
+    * N(a) <= s_a Z(a): the chain visits state b a geometric number of
+      times, of mean at most 1/(1 - x_b), and each visit adds b to n;
+    * G(a) <= a L N(a), since log #Aut <= L sum mu_j^2 <= L a n.
+
+    Every partial sum of Z is below B = M_R exp(sum_{a>R} c_a), M_R the sum
+    over a <= R (rank a multiplies it by at most 1 + c_a), and x_b falls in
+    b, so s_a <= P(a) = s_R + a(a+1) / (2 (1 - x_{R+1})) for a > R.  For
+    a > R, c_{a+1}/c_a <= p^-(2a+1+u) and a polynomial with nonnegative
+    coefficients and degree <= 3 grows by at most ((a+1)/a)^3 per step, so
+    each rest is dominated by a geometric series of ratio
+
+        rho = p^-(2R+3+u) ((R+2)/(R+1))^3 < 2^-4 (3/2)^3 < 0.22
+
+    (2R + 3 + u > 4, and both factors fall as R grows): the closure cannot
+    fail.  So with T = B c_{R+1} / (1 - rho), sum_{a>R} c_a <= c_{R+1} /
+    (1 - rho) inside B and eta_inf >= eta_{R+1} (1 - p^-(R+1) / (p-1)):
+
+        sum_{a>R} Z(a) <= T,  sum_{a>R} N(a) <= T P(R+1),
+        sum_{a>R} G(a) <= T P(R+1) (R+1) L.
+    """
+
+    def __init__(self, params: CLParams):
+        self.p = params.p
+        self.exponent = params.exponent
+        self.L = iv_log_int(params.p)
+        self.eta = [ONE]  # eta_m
+        self.log_eta = [ZERO]
+        self.states = [(ONE, ZERO, ZERO)]  # a -> (Z(a), N(a), G(a))
+        self.sums = [(ONE, ZERO, ZERO)]  # R -> their sums over the ranks <= R
+        self.visits = [ZERO]  # R -> s_R
+
+    def _loop(self, a: int) -> Interval:
+        """x_a = p^(-a(a+u)), the self-loop weight of state a."""
+        return iv_mul(iv_recip_int(self.p ** (a * a)), pow_p_minus(self.p, self.exponent, a))
+
+    def _grow(self) -> None:
+        a = len(self.states)
+        x = self._loop(a)
+        self.eta.append(iv_mul(self.eta[-1], iv_sub(ONE, iv_recip_int(self.p**a))))
+        self.log_eta.append(iv_log(self.eta[-1]))
+        z = n = g = ZERO
+        for b, (zb, nb, gb) in enumerate(self.states):
+            w = iv_div(x, self.eta[a - b])
+            z = iv_add(z, iv_mul(w, zb))
+            n = iv_add(n, iv_mul(w, nb))
+            g = iv_add(g, iv_mul(w, iv_add(gb, iv_mul(self.log_eta[a - b], zb))))
+        free = iv_sub(ONE, x)
+        if not free.lo > 0.0:  # rank 1 at a u within rounding of -1
+            raise RefusalError(f"1 - p^-(u+1) is not certified positive at p={self.p}: "
+                               f"the unit-rank is too close to -1")
+        z = iv_div(z, free)
+        n = iv_div(iv_add(iv_mul_scalar(z, float(a)), n), free)
+        g = iv_div(iv_add(iv_mul(iv_mul_scalar(self.L, float(a * a)), z), g), free)
+        self.states.append((z, n, g))
+        self.sums.append(tuple(iv_add(s, t) for s, t in zip(self.sums[-1], (z, n, g))))
+        self.visits.append(iv_add(self.visits[-1], iv_div(iv_from_int(a), free)))
+
+    def state(self, a: int) -> tuple[Interval, Interval, Interval]:
+        """(Z(a), N(a), G(a))."""
+        while len(self.states) <= a:
+            self._grow()
+        return self.states[a]
+
+    def through(self, R: int) -> tuple[Interval, Interval, Interval]:
+        """The sums of Z, N and G over the ranks a <= R."""
+        self.state(R)
+        return self.sums[R]
+
+    def rests(self, R: int) -> tuple[Interval, Interval, Interval]:
+        """[0, bound] for the sums of Z, N and G over the ranks a > R >= 1."""
+        if R < 1:
+            raise ValueError("rank cutoff must be >= 1")
+        p, q = self.p, R + 1
+        mass = self.through(R)[0]
+        x = self._loop(q)
+        free = iv_sub(ONE, x)
+        eta = iv_mul(self.eta[R], iv_sub(ONE, iv_recip_int(p**q)))
+        eta_inf = iv_mul(eta, iv_sub(ONE, iv_recip_int(p**q * (p - 1))))
+        rho = iv_mul(
+            iv_mul(iv_recip_int(p ** (2 * R + 3)), pow_p_minus(p, self.exponent, 1)),
+            iv_pow_int(iv_div(iv_from_int(R + 2), iv_from_int(q)), 3),
+        )
+        c_sum = iv_div(iv_div(x, iv_mul(eta_inf, free)), iv_sub(ONE, Interval(rho.hi, rho.hi)))
+        t_z = iv_mul(iv_mul(mass, iv_exp(c_sum)), c_sum)
+        poly = iv_add(self.visits[R], iv_div(iv_from_int(q * (q + 1) // 2), free))
+        t_n = iv_mul(t_z, poly)
+        t_g = iv_mul(iv_mul_scalar(t_n, float(q)), self.L)
+        return tuple(Interval(0.0, t.hi) for t in (t_z, t_n, t_g))
+
+
+def rank_series(
+    chain: RankChain, F: Interval, weights: tuple, target: float, series: str, where: str
+) -> tuple[int, Interval, float]:
+    """The rank cutoff R of a chain series, its partial sum and its rest.
+
+    The series is F sum_a (w_Z Z(a) + w_N N(a) + w_G G(a)) for the interval
+    ``weights`` (w_Z, w_N, w_G).  Z, N and G are nonnegative, so everything
+    past rank R is at most F (|w_Z| T_Z + |w_N| T_N + |w_G| T_G) in absolute
+    value (``RankChain.rests``).  R is the first cutoff in 1..MAX_RANK whose
+    rest is below ``target`` and no wider than the partial sum, so that
+    rounding, not truncation, sets the width.  Past the cap the series
+    refuses, naming itself and ``where``.
+    """
+    for R in range(1, MAX_RANK + 1):
+        value = rest = ZERO
+        for w, total, tail in zip(weights, chain.through(R), chain.rests(R)):
+            value = iv_add(value, iv_mul(w, total))
+            rest = iv_add(rest, iv_mul(iv_abs(w), tail))
+        value, rest = iv_mul(F, value), iv_mul(F, rest).hi
+        if rest < target and rest <= value.width:
+            return R, value, rest
+    raise RefusalError(
+        f"{series} tail cannot be pushed below {target:g} by rank {MAX_RANK} at {where}"
+    )
+
+
+def total_mass(params: CLParams, J: int | None = None, eps: float = 1e-6) -> CertifiedValue:
+    """Certified truncation of sum_A nu(A) (which is exactly 1), by rank.
+
+    ``value`` encloses F_u sum_{a<=R} Z(a), the mass of the groups of rank
+    at most R, and ``tail_bound`` dominates the rest F_u sum_{a>R} Z(a)
+    (``RankChain.rests``); ``truncation_level`` is R.  J defaults to the
+    auto rule (p^{-u-J}/(p-1) < eps/4) and R is the ``rank_series`` cutoff
+    for eps/2.  The enclosure value + [0, tail] must straddle 1; tests hold
+    it to that.  The chain and its rest read no closed form of the rank
+    law, so this is a real check of the normalization.
     """
     if J is None:
         J = auto_product_depth(params.p, params.u, eps)
     F = normalizing_constant(params, J)
-    p = params.p
-    rate = params.rate
-    scale = iv_mul(F, iv_from_int(p))
-    N, tail = truncation_level(
-        series_tail(p, rate, [ONE], scale), N, eps / 2, 1,
-        "total mass", f"p={p}, u={params.u}", partial(check_level_budget, p),
+    R, value, rest = rank_series(
+        RankChain(params), F, (ONE, ZERO, ZERO), eps / 2, "total mass",
+        f"p={params.p}, u={params.u}",
     )
-
-    if params.integral:
-        inner = sum(
-            (
-                Fraction(1, p ** (params.u * n)) * level_aut_reciprocal_sum(p, n)
-                for n in range(1, N + 1)
-            ),
-            Fraction(1),  # trivial group
-        )
-        value = iv_mul(F, iv_from_fraction(inner))
-    else:
-        inner = ONE
-        for n in range(1, N + 1):
-            r_iv, _ = level_stats(p, n)
-            inner = iv_add(inner, iv_mul(pow_p_minus(p, params.exponent, n), r_iv))
-        value = iv_mul(F, inner)
-    return CertifiedValue(value=value, truncation_level=N, tail_bound=tail.hi)
+    return CertifiedValue(value=value, truncation_level=R, tail_bound=rest)

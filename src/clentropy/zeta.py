@@ -6,10 +6,11 @@ are nondecreasing in k with limit 1/#Aut A.  The associated zeta function
 
     zeta_k(s) = sum_A w_k(A) / #A^s = prod_{i=1}^{k} (1 - p^{-s-i})^{-1}
 
-converges for s > -1; both representations are implemented, the group sum
-with a certified truncation tail and the product exactly.  k may be an
-integer or None (the k -> infinity limit, where the product becomes the
-reciprocal normalizing constant 1/F_s).
+converges for s > -1; both representations are implemented.  The group
+sum is summed by rank: w_k vanishes past rank k, so it is a finite sum of
+the rank sums of ``measures.RankChain`` at unit-rank s, with no tail.  k
+may be an integer or None (the k -> infinity limit, where the product
+becomes the reciprocal normalizing constant 1/F_s).
 
 The divergence between two measures in the family has the closed form
 
@@ -17,8 +18,9 @@ The divergence between two measures in the family has the closed form
                       + (u2 - u1) sum_{i>=1} log(p)/(p^{u1+i} - 1),
 
 derived from -d/ds log zeta at s = u1.  Both this and the direct sum
-sum nu_1 log(nu_1/nu_2) are implemented, each independently certified, so
-their agreement is a nontrivial machine check of the closed form.
+sum nu_1 log(nu_1/nu_2), summed by rank over the chain, are implemented,
+each independently certified, so their agreement is a nontrivial machine
+check of the closed form.
 """
 
 from __future__ import annotations
@@ -26,32 +28,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
 
 from .groups import is_prime
 from .measures import (
     CLParams,
+    RankChain,
     auto_product_depth,
-    check_level_budget,
-    level_aut_reciprocal_sum,
-    level_rank_sums,
-    level_stats,
     normalizing_constant,
     partial_product,
-    pow_p_minus,
-    series_tail,
-    truncation_level,
+    rank_series,
 )
 from .numerics import (
     ONE,
     ZERO,
     CertifiedValue,
     Interval,
-    iv_abs,
     iv_add,
     iv_div,
     iv_exp,
-    iv_from_fraction,
     iv_from_int,
     iv_log,
     iv_log_int,
@@ -87,10 +81,6 @@ class ZetaParams:
         if isinstance(s, float) and s.is_integer():
             object.__setattr__(self, "s", int(s))
 
-    @property
-    def integral_s(self) -> bool:
-        return isinstance(self.s, int) and self.s >= 0
-
 
 def w_k_weight(A, k: int) -> Fraction:
     """Exact rank-truncated weight w_k(A); zero when rank(A) > k.
@@ -112,19 +102,6 @@ def w_k_weight(A, k: int) -> Fraction:
     return Fraction(num, p**expo * A.aut_order)
 
 
-@lru_cache(maxsize=None)
-def _level_weight_sum(p: int, n: int, k: int) -> Fraction:
-    """sum of w_k over the partitions of n (exact): the rank-resolved sums
-    R_{n,r} of 1/#Aut, each weighted by prod_{i=k-r+1}^{k} (1 - p^{-i})."""
-    total = Fraction(0)
-    weight = Fraction(1)
-    for r, mass in enumerate(level_rank_sums(p, n)[: k + 1]):
-        if r:
-            weight *= 1 - Fraction(1, p ** (k - r + 1))
-        total += mass * weight
-    return total
-
-
 def zeta_product(params: ZetaParams, J: int = 64) -> Interval:
     """Enclosure of prod_{i=1}^{k} (1 - p^{-s-i})^{-1} (k = None takes the
     infinite product, i.e. the reciprocal of the normalizing constant at
@@ -135,34 +112,29 @@ def zeta_product(params: ZetaParams, J: int = 64) -> Interval:
     return iv_div(ONE, partial_product(p, s, k))
 
 
-def zeta_sum(params: ZetaParams, N: int = 30) -> CertifiedValue:
-    """Truncated group-sum route: sum over #A <= p^N of w_k(A)/#A^s, plus a
-    certified one-sided tail.
+def zeta_sum(params: ZetaParams, N: int | None = None) -> CertifiedValue:
+    """Group-sum route, summed by rank: a finite sum with no tail.
 
-    The tail uses w_k(A) <= 1/#Aut A <= p^{1-n}, so the omitted levels are
-    dominated by pi(n) p^{1-(s+1)n} and close geometrically.  At integral s
-    the truncated sum itself is a single exact rational.
+    w_k(A) vanishes past rank k and is the same multiple of 1/#Aut A on
+    every group of rank r, so
+
+        zeta_k(s) = sum_{r<=k} prod_{i=k-r+1}^{k} (1 - p^{-i}) Z_s(r),
+
+    where Z_s(r) is the sum of 1/(#A^s #Aut A) over the groups of rank r,
+    from ``RankChain`` at unit-rank s.  ``truncation_level`` is k and
+    ``tail_bound`` is 0.  ``N`` is accepted and ignored: it was the level
+    cutoff of the former level-by-level sum and no longer changes the value.
     """
     p, k, s = params.p, params.k, params.s
     if k is None:
         raise ValueError("the group-sum route needs a finite level k")
-    N, tail = truncation_level(
-        series_tail(p, CLParams(p, s).rate, [ONE], iv_from_int(p)), N,
-        budget=partial(check_level_budget, p),
-    )
-    if params.integral_s:
-        exact = sum(
-            (_level_weight_sum(p, n, k) / Fraction(p ** (s * n)) for n in range(N + 1)),
-            Fraction(0),
-        )
-        value = iv_from_fraction(exact)
-    else:
-        value = ZERO
-        s_iv = iv_point(float(s))
-        for n in range(N + 1):
-            w = iv_from_fraction(_level_weight_sum(p, n, k))
-            value = iv_add(value, iv_mul(w, pow_p_minus(p, s_iv, n)))
-    return CertifiedValue(value=value, truncation_level=N, tail_bound=tail.hi)
+    chain = RankChain(CLParams(p, s))
+    weight = ONE
+    total = ONE  # the trivial group
+    for r in range(1, k + 1):
+        weight = iv_mul(weight, iv_sub(ONE, iv_recip_int(p ** (k - r + 1))))
+        total = iv_add(total, iv_mul(weight, chain.state(r)[0]))
+    return CertifiedValue(value=total, truncation_level=k, tail_bound=0.0)
 
 
 def _log_ratio_sum(p: int, s, k: int) -> Interval:
@@ -236,14 +208,16 @@ def kl_closed(p: int, u1, u2, tol: float = 1e-9) -> CertifiedValue:
     return CertifiedValue(value=value, truncation_level=I, tail_bound=0.0)
 
 
-def kl_direct(p: int, u1, u2, N: int | None = None, tol: float = 1e-6) -> CertifiedValue:
-    """Direct-sum divergence with a certified symmetric tail.
+def kl_direct(p: int, u1, u2, tol: float = 1e-6) -> CertifiedValue:
+    """Direct-sum divergence, summed by rank, with a certified symmetric tail.
 
     Since nu_1/nu_2 = (F_{u1}/F_{u2}) #A^{u2-u1}, the summand is
-    nu_1(A) (C + (u2-u1) n log p) with C = log(F_{u1}/F_{u2}), so the
-    truncated sum recombines the cached level masses; the omitted terms are
-    bounded in absolute value by pi(n) b_n (|C| + |u2-u1| n log p), hence
+    nu_1(A) (C + (u2-u1) n log p) with C = log(F_{u1}/F_{u2}), so the sum over
+    the ranks <= R is F_{u1} (C sum Z(a) + (u2-u1) log p sum N(a)) over the
+    chain at u1.  The rest past R is bounded in absolute value by
+    F_{u1} (|C| T_Z + |u2-u1| log p T_N) (``rank_series``), hence
     ``tail_bound`` here is two-sided -- use enclosure(symmetric=True).
+    ``truncation_level`` is the rank cutoff R.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -252,38 +226,12 @@ def kl_direct(p: int, u1, u2, N: int | None = None, tol: float = 1e-6) -> Certif
     F1 = normalizing_constant(params1, J)
     F2 = normalizing_constant(params2, J)
     c = iv_sub(iv_log(F1), iv_log(F2))
-    L = iv_log_int(p)
     delta = iv_sub(iv_point(float(params2.u)), iv_point(float(params1.u)))
-
-    rate = params1.rate
-    scale = iv_mul(F1, iv_from_int(p))
-    coeffs = [iv_abs(c), iv_mul(iv_abs(delta), L)]
-    N, tail = truncation_level(
-        series_tail(p, rate, coeffs, scale), N, tol / 2, 2,
-        "divergence", f"p={p}, u1={u1}, u2={u2}", partial(check_level_budget, p),
+    R, value, rest = rank_series(
+        RankChain(params1), F1, (c, iv_mul(delta, iv_log_int(p)), ZERO), tol / 2,
+        "divergence", f"p={p}, u1={u1}, u2={u2}",
     )
-
-    # M1 = sum nu_1(A), M2 = sum n(A) nu_1(A) over #A <= p^N.
-    if params1.integral:
-        m1_inner = Fraction(1)
-        m2_inner = Fraction(0)
-        for n in range(1, N + 1):
-            r = level_aut_reciprocal_sum(p, n) / Fraction(p ** (params1.u * n))
-            m1_inner += r
-            m2_inner += n * r
-        m1 = iv_mul(F1, iv_from_fraction(m1_inner))
-        m2 = iv_mul(F1, iv_from_fraction(m2_inner))
-    else:
-        m1_acc, m2_acc = ONE, ZERO
-        for n in range(1, N + 1):
-            r_iv, _ = level_stats(p, n)
-            lv = iv_mul(pow_p_minus(p, params1.exponent, n), r_iv)
-            m1_acc = iv_add(m1_acc, lv)
-            m2_acc = iv_add(m2_acc, iv_mul_scalar(lv, float(n)))
-        m1 = iv_mul(F1, m1_acc)
-        m2 = iv_mul(F1, m2_acc)
-    value = iv_add(iv_mul(c, m1), iv_mul(iv_mul(delta, L), m2))
-    return CertifiedValue(value=value, truncation_level=N, tail_bound=tail.hi)
+    return CertifiedValue(value=value, truncation_level=R, tail_bound=rest)
 
 
 def limit_derivative_identity(p: int, u1, tol: float, k_max: int = 200) -> bool:
@@ -310,16 +258,16 @@ def limit_derivative_identity(p: int, u1, tol: float, k_max: int = 200) -> bool:
     return False
 
 
-def cross_entropy_direct(
-    p: int, u1, u2, N: int | None = None, tol: float = 1e-5
-) -> CertifiedValue:
-    """Truncated cross entropy -sum nu_1(A) log nu_2(A), one-sided tail.
+def cross_entropy_direct(p: int, u1, u2, tol: float = 1e-5) -> CertifiedValue:
+    """Truncated cross entropy -sum nu_1(A) log nu_2(A), summed by rank,
+    with a one-sided tail.
 
-    The summand expands to nu_1 (-log F_{u2} + u2 n log p + log #Aut A); the
-    level sums recombine cached statistics, and the tail majorizes
-    log #Aut A by n^2 log p (since #Aut A <= #Hom(A,A) <= p^{n^2}), giving a
-    quadratic polynomial against the usual geometric decay.  All summands
-    are nonnegative (every class measure is < 1), so the tail is one-sided.
+    The summand expands to nu_1 (-log F_{u2} + u2 n log p + log #Aut A), so
+    the sum over the ranks <= R is F_{u1} (-log F_{u2} sum Z(a)
+    + u2 log p sum N(a) + sum G(a)) over the chain at u1, and the rest is at
+    most F_{u1} (-log F_{u2} T_Z + |u2| log p T_N + T_G).  All summands are
+    nonnegative (every class measure is < 1), so the tail is one-sided.
+    ``truncation_level`` is the rank cutoff R.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -328,23 +276,8 @@ def cross_entropy_direct(
     F1 = normalizing_constant(params1, J)
     F2 = normalizing_constant(params2, J)
     mlf2 = iv_neg(iv_log(F2))
-    L = iv_log_int(p)
-
-    rate = params1.rate
-    scale = iv_mul(F1, iv_from_int(p))
-    coeffs = [mlf2, iv_mul(iv_abs(iv_point(float(params2.u))), L), L]
-    N, tail = truncation_level(
-        series_tail(p, rate, coeffs, scale), N, tol / 2, 2,
-        "cross-entropy", f"p={p}, u1={u1}, u2={u2}", partial(check_level_budget, p),
+    weights = (mlf2, iv_mul_scalar(iv_log_int(p), float(params2.u)), ONE)
+    R, value, rest = rank_series(
+        RankChain(params1), F1, weights, tol / 2, "cross-entropy", f"p={p}, u1={u1}, u2={u2}"
     )
-
-    u2_iv = iv_point(float(params2.u))
-    acc = mlf2  # trivial group: nu_1(1) (-log nu_2(1)) = F1 mlf2; F1 folds below
-    for n in range(1, N + 1):
-        r_iv, s_iv = level_stats(p, n)
-        pw = pow_p_minus(p, params1.exponent, n)
-        u2n_log = iv_mul(u2_iv, iv_mul_scalar(L, float(n)))
-        acc = iv_add(acc, iv_mul(pw, iv_add(iv_mul(u2n_log, r_iv), s_iv)))
-        acc = iv_add(acc, iv_mul(mlf2, iv_mul(pw, r_iv)))
-    value = iv_mul(F1, acc)
-    return CertifiedValue(value=value, truncation_level=N, tail_bound=tail.hi)
+    return CertifiedValue(value=value, truncation_level=R, tail_bound=rest)

@@ -101,7 +101,7 @@ def test_table_row_count_and_content(capsys):
 
 def test_zeta_all_modes(capsys):
     code, out, _ = run_main(
-        ["zeta", "--p", "2", "--k", "3", "--s", "1", "--N", "20"], capsys
+        ["zeta", "--p", "2", "--k", "3", "--s", "1"], capsys
     )
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
@@ -164,6 +164,11 @@ def test_usage_errors(capsys):
         ["table", "--p", "2", "--u", "0", "--max-order-exponent", "21"], capsys
     )
     assert "max-order-exponent" in err
+    for n_max in ("0", "-3", "21", "60"):
+        err = run_main_expect_usage_error(["verify", "--suite", "lemma1", "--n-max", n_max], capsys)
+        assert "--n-max must lie in [1, 20]" in err, n_max
+    err = run_main_expect_usage_error(["zeta", "--p", "2", "--k", "3", "--s", "0", "--N", "20"], capsys)
+    assert "unrecognized arguments: --N 20" in err
     for argv in (
         ["entropy", "--p", "2", "--u", "inf"],
         ["kl", "--p", "2", "--u1", "0", "--u2", "inf"],
@@ -175,7 +180,7 @@ def test_usage_errors(capsys):
 
 
 def test_refusal_emits_single_record_and_exit_3(capsys):
-    code, out, _ = run_main(["entropy", "--p", "2", "--u", "-0.5"], capsys)
+    code, out, _ = run_main(["entropy", "--p", "2", "--u", "-0.99", "--eps", "1e-12"], capsys)
     assert code == 3
     lines = out.splitlines()
     assert len(lines) == 1  # buffered: no partial results before the refusal

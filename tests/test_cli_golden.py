@@ -1,9 +1,10 @@
 """Golden-file gate: the stdout bytes of a fixed set of CLI invocations.
 
 Every subcommand, integral and non-integral unit-ranks, CSV output, a
-level-cap and a tail-closure refusal, and two deep entropy requests (levels
-59 and 80, refused while the level statistics were enumerated) run
-in-process through ``cli.main``; their exit codes and stdout must match
+width refusal (eps below what rounding leaves at u = -0.99), two requests
+refused while the series were summed by level (entropy and direct KL at
+u = -0.999) and two entropy requests refused while the level statistics
+were enumerated run in-process through ``cli.main``; their exit codes and stdout must match
 ``golden/cli_stdout.txt`` byte for byte.  A refactor that claims unchanged
 output must pass this test without touching the golden file.
 
@@ -31,6 +32,7 @@ COMMANDS = (
     "entropy --p 2 --u -0.5 --eps 1e-3",
     "entropy --p 2 --u 0 --eps 1e-10",
     "entropy --p 2 --u -0.999 --eps 1e-6",
+    "entropy --p 2 --u -0.99 --eps 1e-12",
     "kl --p 3 --u1 1 --u2 2",
     "kl --p 3 --u1 0.5 --u2 -0.25",
     "kl --p 2 --u1 1.5 --u2 0.5 --mode direct",
@@ -39,7 +41,7 @@ COMMANDS = (
     "table --p 2 --u 1 --max-order-exponent 4",
     "table --p 3 --u 0.5 --max-order-exponent 3 --format csv",
     "zeta --p 2 --k 3 --s 0",
-    "zeta --p 3 --k 2 --s 0.5 --N 12",
+    "zeta --p 3 --k 2 --s 0.5",
     "zeta --p 2 --k inf --s 1 --mode product",
     "verify --suite all --n-max 4",
 )

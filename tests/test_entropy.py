@@ -20,7 +20,7 @@ from clentropy import (
     scan_exceptions,
     weighted_log_term,
 )
-from clentropy.measures import MAX_LEVEL_WORK, level_work
+from clentropy.measures import check_enumeration_budget
 from clentropy.numerics import iv_from_int
 
 # High-precision reference values (60-digit product/series evaluations,
@@ -78,29 +78,34 @@ def test_entropy_input_validation():
 
 
 def test_entropy_refuses_slow_decay():
-    # at u = -0.5 the certified truncation level implies an enumeration
-    # far over budget; this must refuse quickly rather than run forever
-    with pytest.raises(RefusalError):
-        entropy(CLParams(2, -0.5), eps=1e-6)
+    # near u = -1 the cancellation in 1 - p^-(u+1) leaves the enclosure
+    # about 1e-10 wide, so eps = 1e-12 is out of reach and must be refused
+    with pytest.raises(RefusalError, match="cannot certify entropy width <= 1e-12"):
+        entropy(CLParams(2, -0.99), eps=1e-12)
 
 
 def test_entropy_refusal_names_the_level_budget():
+    # eps below the rounding floor: the rank walk stops, the width check refuses
     with pytest.raises(RefusalError) as excinfo:
-        entropy(CLParams(2, -0.75), eps=1e-3)
-    assert str(excinfo.value) == (
-        f"level 265 needs {level_work(2, 265)} DP bit-operations, over the "
-        f"{MAX_LEVEL_WORK} enumeration budget; the required truncation level "
-        f"is out of certified reach"
-    )
+        entropy(CLParams(2, 0), eps=1e-17)
+    message = str(excinfo.value)
+    assert message.startswith("cannot certify entropy width <= 1e-17 at p=2, u=0: achieved ")
+    assert 1e-15 < float(message.rsplit(" ", 1)[1]) < 1e-12
+
+
+# level: the truncation level each request needed while entropy was summed
+# by level, past the enumeration budget; it now answers at rank cutoff R
+RANK_CUTOFF = {59: 7, 68: 7, 80: 5}
 
 
 @pytest.mark.parametrize(
     "u, eps, level", [(0, 1e-10, 59), (0, 1e-12, 68), (-0.5, 1e-3, 80)]
 )
 def test_entropy_answers_levels_past_the_enumeration_budget(u, eps, level):
-    # each of these was refused while the level statistics were enumerated
+    with pytest.raises(RefusalError, match="enumeration budget"):
+        check_enumeration_budget(level)
     result = entropy(CLParams(2, u), eps=eps)
-    assert result.H.truncation_level == level
+    assert result.H.truncation_level == RANK_CUTOFF[level]
     assert result.H.value.width <= eps
     if u == 0:  # the reference is cut to 12 digits
         assert result.H.value.widened(1e-11).contains(ENTROPY_REFERENCE[(2, 0)])
@@ -116,20 +121,24 @@ def test_entropy_answers_across_the_advertised_range():
 # ----------------------------------------------------------- two-route check
 
 
-@pytest.mark.parametrize("p, u", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (5, 0)])
+# Levels that put the definition route's tail below 5e-7 (1e-5 / 2 at
+# u = 1.5), the target the identity route had when it was summed by level.
+DEFINITION_LEVEL = {(2, 0): 42, (2, 1): 17, (2, 2): 10, (3, 0): 23, (3, 1): 10, (5, 0): 15}
+
+
+@pytest.mark.parametrize("p, u", sorted(DEFINITION_LEVEL))
 def test_identity_route_overlaps_definition_route(p, u):
     params = CLParams(p, u)
     via_identity = entropy(params, eps=1e-6)
-    via_definition = entropy_by_definition(
-        params, N=via_identity.H.truncation_level
-    )
+    via_definition = entropy_by_definition(params, N=DEFINITION_LEVEL[(p, u)])
     assert via_identity.H.value.overlaps(via_definition.enclosure())
+    assert via_definition.value.width < 1e-6
 
 
 def test_definition_route_at_extended_u():
     params = CLParams(2, 1.5)
     via_identity = entropy(params, eps=1e-5)
-    via_definition = entropy_by_definition(params, N=via_identity.H.truncation_level)
+    via_definition = entropy_by_definition(params, N=11)
     assert via_identity.H.value.overlaps(via_definition.enclosure())
 
 

@@ -29,27 +29,20 @@ from clentropy import (
 from clentropy import ZetaParams, cross_entropy_direct, entropy, entropy_by_definition
 from clentropy import kl_closed, kl_direct, zeta_product, zeta_sum
 from clentropy import measures
-from clentropy.groups import aut_order_parts, is_prime
+from clentropy.groups import is_prime
 from clentropy.measures import (
-    MAX_LEVEL_WORK,
-    TAIL_STRIP,
+    MAX_ENUM_PARTITIONS,
+    RankChain,
     check_enumeration_budget,
-    check_level_budget,
-    level_aut_reciprocal_sum,
-    level_rank_sums,
     level_stats,
     level_stats_by_enumeration,
-    level_work,
-    series_tail,
-    truncation_level,
+    rank_series,
 )
 from clentropy.numerics import (
     ONE,
     Interval,
     iv_from_fraction,
     iv_from_int,
-    iv_log_int,
-    iv_neg,
     iv_point,
 )
 from clentropy.partitions import iter_partitions
@@ -234,33 +227,30 @@ def test_hall_ord_tail_at_25_is_below_1e4():
         assert ord_tail.hi < 1e-4
 
 
+def _dp_level_sum(p, n):
+    """The transfer DP's exact sum of 1/#Aut over the groups of order p^n."""
+    return measures._transfer(p).level(n)[0]
+
+
 def test_level_aut_reciprocal_sum_equals_ord_route_levelwise():
     # Hall: sum over types of n of 1/#Aut = pi(n)/p^n ... is false levelwise;
     # the identity only holds after summing.  What is exact levelwise:
     # the sums are positive rationals bounded by pi(n) p^{1-n}.
     for p in (2, 3):
         for n in range(1, 10):
-            r = level_aut_reciprocal_sum(p, n)
+            r = _dp_level_sum(p, n)
             assert 0 < r <= Fraction(partition_count(n) * p, p**n)
 
 
 # ------------------------------------- level statistics: DP against enumeration
 
 
-def _rank_sums_by_enumeration(p, n):
-    sums = [Fraction(0)] * (n + 1)
-    for parts in iter_partitions(n):
-        sums[len(parts)] += Fraction(1, aut_order_parts(p, parts))
-    return tuple(sums)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
 def test_dp_level_sums_equal_enumeration_exactly(p):
     for n in range(17):
         r_exact, r_iv, _ = level_stats_by_enumeration(p, n)
-        assert level_aut_reciprocal_sum(p, n) == r_exact, (p, n)
+        assert _dp_level_sum(p, n) == r_exact, (p, n)
         assert level_stats(p, n)[0] == r_iv, (p, n)
-        assert level_rank_sums(p, n) == _rank_sums_by_enumeration(p, n), (p, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
@@ -284,14 +274,13 @@ def _hall_level(p, n):
 @pytest.mark.parametrize("p, n_max", [(2, 68), (3, 39)])
 def test_dp_level_sums_equal_halls_closed_form(p, n_max):
     for n in range(n_max + 1):
-        assert level_aut_reciprocal_sum(p, n) == _hall_level(p, n), (p, n)
+        assert _dp_level_sum(p, n) == _hall_level(p, n), (p, n)
 
 
 def test_dp_level_zero_is_the_trivial_group():
     for p in (2, 3, 97):
-        assert level_aut_reciprocal_sum(p, 0) == 1
+        assert _dp_level_sum(p, 0) == 1
         assert level_stats(p, 0) == (Interval(1.0, 1.0), Interval(0.0, 0.0))
-        assert level_rank_sums(p, 0) == (1,)
 
 
 def test_definition_and_hall_routes_do_not_use_the_dp(monkeypatch):
@@ -299,7 +288,6 @@ def test_definition_and_hall_routes_do_not_use_the_dp(monkeypatch):
         raise AssertionError("transfer DP used")
 
     monkeypatch.setattr(measures._TransferDP, "level", broken)
-    monkeypatch.setattr(measures._TransferDP, "rank_sums", broken)
     with pytest.raises(AssertionError):
         level_stats(2, 3)
     result = entropy_by_definition(CLParams(2, 1), N=17)
@@ -316,7 +304,6 @@ def test_dp_routes_do_not_enumerate_partitions(monkeypatch):
         monkeypatch.setattr(importlib.import_module(name), "iter_partitions", broken)
     # empty every cache an enumeration could have filled
     level_stats_by_enumeration.cache_clear()
-    importlib.import_module("clentropy.zeta")._level_weight_sum.cache_clear()
     with pytest.raises(AssertionError):
         level_stats_by_enumeration(2, 3)
     assert entropy(CLParams(11, 0.5), eps=1e-8).H.value.width <= 1e-8
@@ -343,15 +330,10 @@ def test_series_tail_dominates_true_remainder():
 
 
 def test_series_tail_closure_failure_raises():
-    # a walker raises at the same N, with the same text, as a single call
-    tail_at = series_tail(2, iv_point(0.01), [ONE], ONE)
     for N in (5, 40):
-        with pytest.raises(TailClosureError) as single:
+        with pytest.raises(TailClosureError) as excinfo:
             bound_series_tail(2, iv_point(0.01), N, [ONE], ONE)
-        with pytest.raises(TailClosureError) as walked:
-            tail_at(N)
-        assert f"at level {N} " in str(walked.value)
-        assert str(walked.value) == str(single.value)
+        assert f"at level {N} " in str(excinfo.value)
 
 
 def test_series_tail_decreases_in_level():
@@ -360,22 +342,26 @@ def test_series_tail_decreases_in_level():
     assert tails[-1] < 1e-5
 
 
+# The rank walk keeps one chain per call and extends it one rank at a time;
+# the cases are an integral unit-rank, a non-integral one (an interval
+# rate u + 1) and a negative one (a negative u log p in the entropy sum).
 TAIL_CASES = {
-    "integral-rate": (2, 1, [ONE], ONE),
-    "interval-rate": (3, iv_point(1.5), [ONE, iv_point(0.25)], iv_from_int(3)),
-    # entropy-shaped: alpha = -log F - log p < 0, beta = (u+1) log p
-    "negative-constant": (2, 1, [iv_neg(iv_log_int(2)), iv_log_int(2)], iv_point(0.5)),
+    "integral-rate": CLParams(2, 1),
+    "interval-rate": CLParams(3, 1.5),
+    "negative-constant": CLParams(2, -0.5),
 }
 
 
-@pytest.mark.parametrize("case", TAIL_CASES.values(), ids=TAIL_CASES.keys())
-def test_series_tail_walker_is_order_independent(case):
-    p, rate, coeffs, scale = case
-    tail_at = series_tail(p, rate, coeffs, scale)
-    levels = list(range(1, 31))
-    shuffled = random.Random(5).choices(levels, k=40)
-    for N in levels + levels[::-1] + shuffled:
-        assert tail_at(N) == bound_series_tail(p, rate, N, coeffs, scale), N
+@pytest.mark.parametrize("params", TAIL_CASES.values(), ids=TAIL_CASES.keys())
+def test_series_tail_walker_is_order_independent(params):
+    # a chain asked in any order gives the bits of a fresh chain at each R
+    chain = RankChain(params)
+    ranks = list(range(1, 13))
+    shuffled = random.Random(5).choices(ranks, k=20)
+    for R in ranks[::-1] + shuffled + ranks:
+        fresh = RankChain(params)
+        assert chain.through(R) == fresh.through(R), R
+        assert chain.rests(R) == fresh.rests(R), R
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,28 +386,27 @@ def test_series_tail_contains_the_exact_strip_sum(p, rate, N, coeffs):
 
 
 @pytest.mark.parametrize(
-    "call, start, level",
+    "call, rank",
     [
-        (lambda: entropy(CLParams(2, 0), 1e-6).H, 3, 42),
-        (lambda: kl_direct(2, 0, 1, tol=1e-6), 2, 42),
-        (lambda: total_mass(CLParams(3, 0.5), eps=1e-8), 1, 15),
+        (lambda: entropy(CLParams(2, 0), 1e-6).H, 5),
+        (lambda: kl_direct(2, 0, 1, tol=1e-6), 6),
+        (lambda: total_mass(CLParams(3, 0.5), eps=1e-8), 4),
     ],
     ids=["entropy", "kl_direct", "total_mass"],
 )
-def test_truncation_walk_computes_each_strip_level_once(monkeypatch, call, start, level):
-    # A walk over start..N asks N - start + 1 tails; re-summing each strip
-    # would evaluate TAIL_STRIP levels per candidate.
-    asked = []
+def test_truncation_walk_computes_each_strip_level_once(monkeypatch, call, rank):
+    # The rank walk asks the sums and rests at R = 1, 2, ...; the chain
+    # builds each rank's state once, not once per candidate cutoff.
+    built = []
+    grow = RankChain._grow
 
-    def counted(n):
-        asked.append(n)
-        return partition_count(n)
+    def counted(chain):
+        built.append(len(chain.states))
+        grow(chain)
 
-    monkeypatch.setattr(measures, "partition_count", counted)
-    N = call().truncation_level
-    assert N == level
-    assert len(asked) <= N + TAIL_STRIP
-    assert sorted(asked) == list(range(start + 1, N + TAIL_STRIP + 1))
+    monkeypatch.setattr(RankChain, "_grow", counted)
+    assert call().truncation_level == rank
+    assert built == list(range(1, rank + 1))
 
 
 def test_enumeration_budget_guard():
@@ -431,15 +416,14 @@ def test_enumeration_budget_guard():
 
 
 def test_level_budget_guard():
-    check_level_budget(2, 80)  # fine
-    check_level_budget(97, 40)
-    assert level_work(97, 60) > 10 * level_work(2, 60)  # big-integer size grows with p
+    # the enumeration budget is the only level budget left; its refusal
+    # names the level, the work and the budget
+    work = sum(partition_count(n) for n in range(121))
     with pytest.raises(RefusalError) as excinfo:
-        check_level_budget(2, 334)
+        check_enumeration_budget(120)
     assert str(excinfo.value) == (
-        f"level 334 needs {level_work(2, 334)} DP bit-operations, over the "
-        f"{MAX_LEVEL_WORK} enumeration budget; the required truncation level "
-        f"is out of certified reach"
+        f"level 120 needs {work} partition tuples, over the {MAX_ENUM_PARTITIONS} "
+        f"enumeration budget; the required truncation level is out of certified reach"
     )
 
 
@@ -456,86 +440,137 @@ def test_total_mass_brackets_one(p, u):
 
 
 def test_total_mass_partial_is_strictly_below_one():
-    result = total_mass(CLParams(2, 0), N=10)
-    assert result.value.hi < 1.0
-    assert result.value.hi + result.tail_bound >= 1.0
+    # the mass of the groups of rank <= 2 is below 1, and its rest closes the gap
+    F = normalizing_constant(CLParams(2, 0))
+    chain = RankChain(CLParams(2, 0))
+    partial = iv_mul(F, chain.through(2)[0])
+    assert partial.hi < 1.0
+    assert partial.hi + iv_mul(F, chain.rests(2)[0]).hi >= 1.0
+
+
+def _rank_law(p, u, r):
+    """Cohen-Lenstra: the sum of 1/(#A^u #Aut A) over the groups of rank r
+    is p^(-r(r+u)) / (prod_{i<=r} (1 - p^-i) prod_{i=u+1}^{u+r} (1 - p^-i))
+    at integral u >= 0."""
+    value = Fraction(1, p ** (r * (r + u)))
+    for i in list(range(1, r + 1)) + list(range(u + 1, u + r + 1)):
+        value /= 1 - Fraction(1, p**i)
+    return value
 
 
 def test_total_mass_explicit_level_matches_exact_rational():
-    # at integral u the truncated sum is F_u * (exact rational); recompute it
-    p, u, N = 3, 1, 6
-    inner = Fraction(1)
-    for n in range(1, N + 1):
-        inner += Fraction(1, p ** (u * n)) * level_aut_reciprocal_sum(p, n)
-    expected = iv_mul(normalizing_constant(CLParams(p, u)), iv_from_fraction(inner))
-    got = total_mass(CLParams(p, u), N=N)
+    # at integral u the partial mass is F_u times the exact rank law summed
+    # over the ranks <= R; recompute it
+    p, u = 3, 1
+    got = total_mass(CLParams(p, u), eps=1e-8)
+    inner = sum((_rank_law(p, u, r) for r in range(got.truncation_level + 1)), Fraction(0))
+    expected = iv_mul(normalizing_constant(CLParams(p, u), J=64), iv_from_fraction(inner))
     assert got.value.overlaps(expected)
-    assert got.truncation_level == N
 
 
 def test_total_mass_extended_mode():
-    result = total_mass(CLParams(2, 0.5), N=16)
+    result = total_mass(CLParams(2, 0.5), eps=1e-6)
     enclosure = result.enclosure()
     assert enclosure.lo <= 1.0 <= enclosure.hi
 
 
-def test_total_mass_refuses_impossible_tail():
-    with pytest.raises(RefusalError):
-        total_mass(CLParams(2, -0.5), eps=1e-6)
+def test_total_mass_answers_where_the_level_walk_refused():
+    # (2, -0.5) at eps 1e-6 needed a level over the DP budget; by rank it
+    # answers, and the mass still straddles 1
+    for p, u in [(2, -0.5), (2, -0.999), (97, -0.9)]:
+        result = total_mass(CLParams(p, u), eps=1e-6)
+        enclosure = result.enclosure()
+        assert enclosure.lo <= 1.0 <= enclosure.hi, (p, u)
+        assert result.tail_bound < 5e-7, (p, u)
+
+
+def test_chain_refuses_a_unit_rank_within_rounding_of_minus_one():
+    # 1 - p^-(u+1) rounds to an interval containing 0: refuse, as the level
+    # walk did (by its tail closure), rather than divide by it
+    with pytest.raises(RefusalError, match="too close to -1"):
+        total_mass(CLParams(2, -0.9999999999999999))
 
 
 def test_total_mass_validation():
     with pytest.raises(ValueError):
-        total_mass(CLParams(2, 0), N=0)
+        total_mass(CLParams(2, 0), eps=0.0)
 
 
-# ------------------------------------------------------ truncation-level engine
+# ------------------------------------------------------------ rank-cutoff walk
 
 
-def _tails(log):
-    """tail_at with tail 1/n at level n, recording the levels it is asked."""
+class _FakeChain:
+    """Sums (partial, 1, 1) through every R and rests (1/R, 1, 1), recording
+    each R asked."""
 
-    def tail_at(n):
-        log.append(n)
-        return Interval(0.0, 1.0 / n)
+    def __init__(self, log, partial):
+        self.log, self.partial = log, partial
 
-    return tail_at
+    def through(self, R):
+        return self.partial, ONE, ONE
+
+    def rests(self, R):
+        self.log.append(R)
+        return Interval(0.0, 1.0 / R), ONE, ONE
+
+
+Z_ONLY = (ONE, Interval(0.0, 0.0), Interval(0.0, 0.0))
 
 
 def test_engine_walk_stops_at_first_level_strictly_below_target():
     asked = []
-    N, tail = truncation_level(_tails(asked), None, 0.25, 2, "test", "here")
-    assert (N, tail.hi) == (5, 0.2)  # 1/4 ties the target and does not stop
-    assert asked == [2, 3, 4, 5]
+    chain = _FakeChain(asked, Interval(1.0, 1.25))
+    R, value, rest = rank_series(chain, ONE, Z_ONLY, 0.25, "test", "here")
+    assert (R, rest) == (5, pytest.approx(0.2))  # 1/4 ties the target and does not stop
+    assert value.lo <= 1.0 and 1.25 <= value.hi and value.width < 0.25 + 1e-14
+    assert asked == [1, 2, 3, 4, 5]
+    # a rest below the target but wider than the partial sum walks on
+    chain = _FakeChain([], Interval(1.0, 1.4))
+    assert rank_series(chain, ONE, Z_ONLY, 0.6, "test", "")[::2] == (3, pytest.approx(1 / 3))
+    # the rest counts every weight in absolute value
+    weights = (Interval(-2.0, 1.0), Interval(0.0, 0.0), Interval(-0.5, -0.5))
+    assert rank_series(chain, ONE, weights, 1.0, "test", "")[::2] == (5, pytest.approx(0.9))
 
 
-def test_engine_explicit_level_checks_level_then_budget_then_tail():
+def test_engine_explicit_level_checks_level_then_budget_then_tail(monkeypatch):
+    # the explicit level of the definition route: the validity floor, then
+    # the enumeration budget, then the tail
+    entropy_module = importlib.import_module("clentropy.entropy")
     asked = []
-    assert truncation_level(_tails(asked), 8) == (8, Interval(0.0, 0.125))
-    assert asked == [8]
-    with pytest.raises(ValueError, match="N must be >= 1"):
-        truncation_level(_tails(asked), 0)
+    tail = entropy_module._entropy_tail
+
+    def recorded(params, F, N):
+        asked.append(N)
+        return tail(params, F, N)
+
+    monkeypatch.setattr(entropy_module, "_entropy_tail", recorded)
+    with pytest.raises(RefusalError, match="below the validity floor"):
+        entropy_by_definition(CLParams(2, 0), N=2)
     with pytest.raises(RefusalError, match="enumeration budget"):
-        truncation_level(_tails(asked), 120)
+        entropy_by_definition(CLParams(2, 0), N=120)
+    assert asked == []
+    assert entropy_by_definition(CLParams(2, 0), N=8).truncation_level == 8
     assert asked == [8]
 
 
 def test_engine_refuses_past_the_level_cap(monkeypatch):
-    monkeypatch.setattr(measures, "MAX_LEVEL", 6)
+    monkeypatch.setattr(measures, "MAX_RANK", 6)
     asked = []
     with pytest.raises(RefusalError) as excinfo:
-        truncation_level(_tails(asked), None, 0.01, 2, "test", "p=2")
-    assert str(excinfo.value) == "test tail cannot be pushed below 0.01 by level 6 at p=2"
-    assert asked == [2, 3, 4, 5, 6]
+        rank_series(_FakeChain(asked, Interval(1.0, 1.25)), ONE, Z_ONLY, 0.01, "test", "p=2")
+    assert str(excinfo.value) == "test tail cannot be pushed below 0.01 by rank 6 at p=2"
+    assert asked == [1, 2, 3, 4, 5, 6]
 
 
 def test_entropy_start_level_above_the_cap_refuses():
-    # the 1/e floor at u = -0.999 is level 1002, past MAX_LEVEL = 600
+    # the 1/e floor at u = -0.999 is level 1002, past the enumeration budget
+    # of the definition route (the identity route answers, by rank)
     with pytest.raises(RefusalError) as excinfo:
-        entropy(CLParams(2, -0.999))
-    assert str(excinfo.value) == (
-        "entropy tail cannot be pushed below 5e-07 by level 600 at p=2, u=-0.999"
-    )
+        entropy_by_definition(CLParams(2, -0.999), N=1002)
+    assert "enumeration budget" in str(excinfo.value)
+    with pytest.raises(RefusalError, match="validity floor 1002"):
+        entropy_by_definition(CLParams(2, -0.999), N=60)
+    assert entropy(CLParams(2, -0.999)).H.value.width <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -543,21 +578,21 @@ def test_entropy_start_level_above_the_cap_refuses():
     [
         (
             lambda: total_mass(CLParams(2, 0), eps=1e-6),
-            "total mass tail cannot be pushed below 5e-07 by level 3 at p=2, u=0",
+            "total mass tail cannot be pushed below 5e-07 by rank 3 at p=2, u=0",
         ),
         (
             lambda: kl_direct(2, 0, 1),
-            "divergence tail cannot be pushed below 5e-07 by level 3 at p=2, u1=0, u2=1",
+            "divergence tail cannot be pushed below 5e-07 by rank 3 at p=2, u1=0, u2=1",
         ),
         (
             lambda: cross_entropy_direct(2, 0, 1),
-            "cross-entropy tail cannot be pushed below 5e-06 by level 3 at p=2, u1=0, u2=1",
+            "cross-entropy tail cannot be pushed below 5e-06 by rank 3 at p=2, u1=0, u2=1",
         ),
     ],
     ids=["total_mass", "kl_direct", "cross_entropy_direct"],
 )
 def test_level_cap_refusal_names_the_series(monkeypatch, call, message):
-    monkeypatch.setattr(measures, "MAX_LEVEL", 3)
+    monkeypatch.setattr(measures, "MAX_RANK", 3)
     with pytest.raises(RefusalError) as excinfo:
         call()
     assert str(excinfo.value) == message
@@ -565,7 +600,8 @@ def test_level_cap_refusal_names_the_series(monkeypatch, call, message):
 
 @pytest.mark.parametrize("direct", [kl_direct, cross_entropy_direct])
 def test_direct_sums_reject_level_zero(direct):
-    with pytest.raises(ValueError, match="N must be >= 1"):
+    # the level argument is gone: the rank walk picks its own cutoff
+    with pytest.raises(TypeError, match="'N'"):
         direct(2, 0, 1, N=0)
 
 
@@ -584,15 +620,104 @@ def test_definition_route_refuses_uncertified_class_measure_bound(monkeypatch):
 def test_class_measure_bound_at_the_validity_floor_is_below_0_11(monkeypatch):
     # b_{N+1} = F_u p^{1-(u+1)(N+1)} <= (1 - x) x^3 with x = p^-(u+1) at
     # N = _level_floor(u), so the 1/e guard in _entropy_tail holds with room
-    # at every level the entropy routes ask.  Checked through the guard
-    # itself, with the ceiling lowered to 0.11, the walk stubbed out, and
+    # at every level the definition route asks.  Checked through the guard
+    # itself, with the ceiling lowered to 0.11, the tail stubbed out, and
     # F_u at J = 1, the widest upper bound any product depth gives.
     entropy_module = importlib.import_module("clentropy.entropy")
     monkeypatch.setattr(entropy_module, "_H_ARG_CEILING", 0.11)
-    monkeypatch.setattr(entropy_module, "series_tail", lambda *args: lambda N: ONE)
+    monkeypatch.setattr(entropy_module, "bound_series_tail", lambda *args: ONE)
     grid = [-0.999, -0.9, -0.75, -2 / 3, -0.585, -0.5, -0.25, 0, 0.5, 1, 1.5, 2, 3]
     for p in (q for q in range(2, 98) if is_prime(q)):
         for u in grid:
             params = CLParams(p, u)
-            tail_at = entropy_module._entropy_tail(params, normalizing_constant(params, 1))
-            assert tail_at(entropy_module._level_floor(params.u)) == ONE, (p, u)
+            F = normalizing_constant(params, 1)
+            floor = entropy_module._level_floor(params.u)
+            assert entropy_module._entropy_tail(params, F, floor) == ONE, (p, u)
+
+
+# ---------------------------------------------------------------- rank chain
+
+# 40-digit mpmath values of H at p = 2, cut to 18 digits
+H_REFERENCE = {0: 2.00303634924887742, -0.5: 2.87835136829425533, -0.999: 9.40923526314551168}
+
+
+@pytest.mark.parametrize("p, u", [(2, 0), (3, 1), (5, 2)])
+def test_chain_rank_sums_contain_the_cohen_lenstra_rank_law(p, u):
+    chain = RankChain(CLParams(p, u))
+    for r in range(7):
+        assert chain.state(r)[0].contains(_rank_law(p, u, r)), (p, u, r)
+
+
+def test_chain_mean_order_exponent_is_the_closed_kl_sum():
+    # at (2, 0) the expected n is sum_i 1/(2^i - 1) = 1.6066951524152917...
+    chain = RankChain(CLParams(2, 0))
+    F = normalizing_constant(CLParams(2, 0))
+    for R in (3, 6):
+        n_sum, n_rest = chain.through(R)[1], chain.rests(R)[1]
+        box = iv_mul(F, n_sum + n_rest)
+        assert box.contains(1.6066951524152917), R
+    assert iv_mul(F, chain.through(6)[1] + chain.rests(6)[1]).width < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 97]),
+    st.floats(min_value=-0.99, max_value=3.0),
+    st.integers(1, 8),
+)
+def test_chain_rests_dominate_the_next_six_ranks(p, u, R):
+    chain = RankChain(CLParams(p, u))
+    rests = chain.rests(R)
+    for i in range(3):  # Z, N, G
+        ahead = sum(chain.state(a)[i].lo for a in range(R + 1, R + 7))
+        assert ahead <= rests[i].hi, (i, ahead, rests[i].hi)
+
+
+@pytest.mark.parametrize("u, eps", [(0, 1e-12), (-0.5, 1e-12), (-0.999, 1e-6)])
+def test_entropy_contains_the_40_digit_values(u, eps):
+    # the references are cut to 18 digits, inside 1e-15 of the true values
+    value = entropy(CLParams(2, u), eps=eps).H.value
+    assert value.widened(1e-15).contains(H_REFERENCE[u])
+
+
+def test_zeta_sum_overlaps_product_at_non_integral_s():
+    for params in (ZetaParams(5, 2, 0.3), ZetaParams(2, 6, -0.7), ZetaParams(97, 3, 1.25)):
+        total = zeta_sum(params)
+        assert total.enclosure().overlaps(zeta_product(params)), params
+        assert total.tail_bound == 0.0 and total.truncation_level == params.k
+
+
+# ------------------------------------------------------- route independence
+
+
+def _broken(*args, **kwargs):
+    raise AssertionError("route crossed")
+
+
+def test_chain_consumers_answer_without_the_dp_or_enumeration(monkeypatch):
+    monkeypatch.setattr(measures._TransferDP, "level", _broken)
+    for name in ("clentropy", "clentropy.measures"):
+        monkeypatch.setattr(importlib.import_module(name), "level_stats", _broken)
+    for name in ("clentropy", "clentropy.partitions", "clentropy.measures"):
+        monkeypatch.setattr(importlib.import_module(name), "iter_partitions", _broken)
+    level_stats_by_enumeration.cache_clear()
+    assert entropy(CLParams(3, 0.5), eps=1e-8).H.value.width <= 1e-8
+    kl = kl_direct(3, 0, 1).enclosure(symmetric=True)
+    assert kl.overlaps(kl_closed(3, 0, 1).value)
+    assert cross_entropy_direct(3, 1, 0).value.lo > 0
+    assert total_mass(CLParams(3, 1), eps=1e-8).enclosure().contains(1)
+    params = ZetaParams(3, 3, 0.5)
+    assert zeta_sum(params).enclosure().overlaps(zeta_product(params))
+
+
+def test_independent_routes_answer_without_the_chain(monkeypatch):
+    monkeypatch.setattr(RankChain, "__init__", _broken)
+    monkeypatch.setattr(RankChain, "_grow", _broken)
+    with pytest.raises(AssertionError):
+        entropy(CLParams(2, 1))
+    result = entropy_by_definition(CLParams(2, 1), N=17)
+    assert result.value.contains(1.13581634645)
+    s_aut, _ = hall_sum_partial(3, 12)
+    assert s_aut == sum(_hall_level(3, n) for n in range(13))
+    assert kl_closed(2, 0, 1).value.contains(0.420529034356046)
+    assert zeta_product(ZetaParams(2, 3, 1)).contains(Fraction(512, 315))

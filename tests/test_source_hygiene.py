@@ -4,7 +4,10 @@ No module reaches into another module's private names (``_``-prefixed),
 whether at module level or inside a function body, and no module-level
 import goes unused.  Partition enumeration (``iter_partitions``) is read
 only by ``measures.py``, where it is the independent oracle of the
-level-statistics DP; ``__init__.py`` re-exports it for users.  There is no
+level-statistics DP; ``__init__.py`` re-exports it for users.  Likewise
+``level_stats`` (the DP's level statistics) is read only by ``measures.py``
+and re-exported by ``__init__.py``: every series is summed by rank, so the
+DP can be deleted without touching another module's code.  There is no
 linter in the toolchain, so this is the gate.  A name counts as used when
 it is loaded anywhere in the module or listed in ``__all__`` (the
 package's re-exports).
@@ -25,6 +28,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clentropy"
 MODULES = sorted(SRC.glob("*.py"))
 # partitions.py defines it, measures.py holds the oracle, __init__ re-exports
 ENUMERATION_ALLOWED = {"partitions.py", "measures.py", "__init__.py"}
+# measures.py defines it, __init__ re-exports
+LEVEL_STATS_ALLOWED = {"measures.py", "__init__.py"}
 HEAVY_IMPORTS = {"numpy", "mpmath"}
 
 
@@ -58,14 +63,14 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
-def enumeration_reads(tree: ast.Module) -> list[str]:
-    """Imports of ``iter_partitions`` and attribute reads of it, at any depth."""
+def name_reads(tree: ast.Module, name: str) -> list[str]:
+    """Imports of ``name`` and attribute reads of it, at any depth."""
     return [
         f"line {node.lineno}"
         for node in ast.walk(tree)
         if (isinstance(node, ast.ImportFrom)
-            and any(alias.name == "iter_partitions" for alias in node.names))
-        or (isinstance(node, ast.Attribute) and node.attr == "iter_partitions")
+            and any(alias.name == name for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
     ]
 
 
@@ -106,7 +111,14 @@ def test_no_unused_module_level_imports(path):
     "path", [p for p in MODULES if p.name not in ENUMERATION_ALLOWED], ids=lambda p: p.name
 )
 def test_partition_enumeration_only_in_the_oracle(path):
-    assert enumeration_reads(ast.parse(path.read_text())) == []
+    assert name_reads(ast.parse(path.read_text()), "iter_partitions") == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in LEVEL_STATS_ALLOWED], ids=lambda p: p.name
+)
+def test_level_stats_read_only_by_measures(path):
+    assert name_reads(ast.parse(path.read_text()), "level_stats") == []
 
 
 def test_checks_catch_local_private_and_unused_imports():
@@ -129,7 +141,15 @@ def test_check_catches_partition_enumeration():
         "    from .partitions import iter_partitions\n"
         "    return list(partitions.iter_partitions(n))\n"
     )
-    assert enumeration_reads(tree) == ["line 3", "line 4"]
+    assert name_reads(tree, "iter_partitions") == ["line 3", "line 4"]
+    tree = ast.parse(
+        "from .measures import level_stats_by_enumeration\n"
+        "from . import measures\n"
+        "def f(n):\n"
+        "    from .measures import level_stats\n"
+        "    return measures.level_stats(2, n)\n"
+    )
+    assert name_reads(tree, "level_stats") == ["line 4", "line 5"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -7,7 +7,6 @@ import pytest
 from clentropy import (
     AbelianPGroup,
     CLParams,
-    RefusalError,
     ZetaParams,
     cross_entropy_direct,
     entropy,
@@ -106,11 +105,13 @@ def test_sum_route_needs_finite_level():
         zeta_sum(ZetaParams(2, None, 0))
 
 
-def test_sum_route_partial_below_product():
+def test_sum_route_is_a_finite_sum_with_no_tail():
+    # summed by rank, the group sum stops at rank k; N no longer matters
     params = ZetaParams(2, 2, 0)
-    total = zeta_sum(params, N=12)
-    assert total.value.hi <= zeta_product(params).hi
-    assert total.tail_bound > 0.0
+    total = zeta_sum(params)
+    assert total.value.overlaps(zeta_product(params))
+    assert (total.truncation_level, total.tail_bound) == (2, 0.0)
+    assert zeta_sum(params, N=12) == total
 
 
 # ------------------------------------------------------------- derivatives
@@ -199,9 +200,11 @@ def test_kl_extended_parameters():
     assert result.value.overlaps(direct.enclosure(symmetric=True))
 
 
-def test_kl_direct_refuses_slow_decay():
-    with pytest.raises(RefusalError):
-        kl_direct(2, -0.5, 0)
+def test_kl_direct_answers_slow_decay():
+    # refused while the direct sum was summed by level; by rank it answers
+    for u1 in (-0.5, -0.999):
+        direct = kl_direct(2, u1, 0).enclosure(symmetric=True)
+        assert direct.overlaps(kl_closed(2, u1, 0).value), u1
 
 
 # ------------------------------------------------------------- cross entropy
