@@ -47,6 +47,9 @@ EXIT_REFUSED = 3
 EXIT_VERIFY_FAILED = 4
 
 MAX_PRIME = 97
+# Integral u enters exact powers p^(u+i); at this bound the slowest call,
+# table --p 97 --max-order-exponent 20, takes about 1 s.
+MAX_UNIT_RANK = 400
 EPS_MIN, EPS_MAX = 1e-12, 1e-1
 VERIFY_SUITES = ("lemma1", "exceptions", "monotone", "hall", "zeta", "margins")
 
@@ -115,9 +118,11 @@ def _check_prime(parser, p: int) -> None:
         parser.error(f"p must be at most {MAX_PRIME}")
 
 
-def _check_unit_rank(parser, u: float) -> None:
+def _check_unit_rank(parser, u: float, name: str = "unit-rank") -> None:
     if not (math.isfinite(u) and u > -1):
-        parser.error(f"unit-rank must be finite and > -1, got {u:g}")
+        parser.error(f"{name} must be finite and > -1, got {u:g}")
+    if u > MAX_UNIT_RANK:
+        parser.error(f"{name} must be at most {MAX_UNIT_RANK}, got {u:g}")
 
 
 def _cl_params(parser, p: int, u: float) -> CLParams:
@@ -229,8 +234,7 @@ def cmd_zeta(parser, args) -> tuple[list[dict], int]:
             parser.error("--k expects a positive integer or 'inf'")
         if k < 1:
             parser.error("--k expects a positive integer or 'inf'")
-    if not (math.isfinite(args.s) and args.s > -1):
-        parser.error(f"--s must be finite and > -1, got {args.s:g}")
+    _check_unit_rank(parser, args.s, "--s")
     params = ZetaParams(args.p, k, args.s)
     records = []
 
@@ -324,7 +328,7 @@ def _verify_hall() -> dict:
     for p in (2, 3):
         s_aut, s_ord = hall_sum_partial(p, 25)
         aut_tail, ord_tail = hall_tail_bounds(p, 25)
-        inv_f0 = iv_div(ONE, normalizing_constant(CLParams(p, 0), 64))
+        inv_f0 = iv_div(ONE, normalizing_constant(CLParams(p, 0)))
         for name, total, tail in (
             ("aut", s_aut, aut_tail),
             ("ord", s_ord, ord_tail),

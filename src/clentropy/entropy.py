@@ -9,13 +9,18 @@ which is the form computed here, by rank: log x_A = u n log p + log #Aut
 sums to u log p N(a) + G(a) over rank a (``measures.RankChain``).  The rest
 past rank R >= 1 is one-sided: a group of rank >= 2 has #Aut A >= #A, so
 x_A >= #A^(u+1) > 1.  The direct-definition route, an independent
-cross-check, sums h(nu(A)) level by level over listed partitions; its
-remainder past level N lies in [0, T(N)] with
+cross-check, sums h(nu(A)) = -nu(A) log nu(A) level by level over listed
+partitions; its remainder past level N lies in [0, T(N)] with
 
-    T(N) = sum_{n>N} pi(n) h(F_u p^{1-(u+1)n}),    h(x) = -x log x,
+    T(N) = (F_u / F_0) sum_{n>N} x^n (-log F_u + u L n + L n^2),
 
-because each omitted class has measure below b_n = F_u p^{1-(u+1)n} <= 1/e
-(enforced by a floor on N) and h is increasing on (0, 1/e].
+x = p^-(u+1), L = log p.  Each omitted class has -log nu(A) <= -log F_u
++ u L n + L n^2 because #Aut A <= #End A <= p^(n^2), and Hall's level sum
+sum_{|A|=p^n} 1/#Aut A = p^-n / eta_n (Macdonald ch. II) is at most
+p^-n / F_0, since eta_n >= eta_inf = F_0.  The sum is a geometric series
+times a quadratic, closed exactly, so it converges for every u > -1.  The
+route's partial sum lists partitions and only its tail reads Hall's closed
+form; the rank chain reads neither.
 
 The family is strictly entropy-decreasing in integral u.  The engine of
 that fact is the per-term inequality
@@ -30,7 +35,6 @@ that the entropy differences survive the exceptions with room to spare.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +44,6 @@ from .measures import (
     CLParams,
     RankChain,
     auto_product_depth,
-    bound_series_tail,
     check_enumeration_budget,
     hall_sum_partial,
     hall_tail_bounds,
@@ -70,10 +73,6 @@ from .numerics import (
 )
 from .partitions import Partition, enumerate_partitions
 
-# h(x) = -x log x is increasing only up to 1/e; the tail argument needs all
-# omitted per-class measures on that side, with a little room to breathe.
-_H_ARG_CEILING = 0.36
-
 
 @dataclass(frozen=True)
 class EntropyResult:
@@ -94,26 +93,23 @@ class EntropyResult:
         return self.minus_log_fu, self.weighted_sum
 
 
-def _level_floor(u) -> int:
-    return 2 + math.ceil(1 / (u + 1))
-
-
 def _entropy_tail(params: CLParams, F: Interval, N: int) -> Interval:
-    """T(N) enclosed, or [0, inf] when b_{N+1} is not certified below the
-    1/e ceiling (h is then not increasing over the omitted measures)."""
-    # h(b_n) = b_n (alpha + beta n) with alpha = -log F_u - log p and
-    # beta = (u+1) log p; both in intervals, b_n = (F_u p) p^{-(u+1)n}.
-    p, rate = params.p, params.rate
-    scale = iv_mul(F, iv_from_int(p))
-    # At the validity floor b_{N+1} < 0.11 for every admissible (p, u), so
-    # this guard passes on every level the definition route accepts; it
-    # stays because it is the hypothesis of the tail argument.
-    if not iv_mul(scale, pow_p_minus(p, rate, N + 1)).hi < _H_ARG_CEILING:
-        return Interval(0.0, math.inf)
+    """[0, T(N)].  With M = N + 1 and y = 1 - x, the quadratic
+    -log F_u + L n (u + n) at n = M + j is P(M) + L (u + 2M) j + L j^2, and
+    sum_{j>=0} x^j (1, j, j^2) = (1/y, x/y^2, x (1 + x)/y^3)."""
+    p, M = params.p, N + 1
     L = iv_log_int(p)
-    alpha = iv_sub(iv_neg(iv_log(F)), L)
-    beta = iv_mul_scalar(L, float(rate)) if params.integral else iv_mul(rate, L)
-    return bound_series_tail(p, rate, N, [alpha, beta], scale)
+    u = iv_point(float(params.u))
+    x = pow_p_minus(p, params.rate, 1)
+    y = iv_sub(ONE, x)
+    lead = iv_add(iv_neg(iv_log(F)),
+                  iv_mul(iv_mul_scalar(L, float(M)), iv_add(u, iv_from_int(M))))
+    slope = iv_mul(iv_add(u, iv_from_int(2 * M)), L)
+    bend = iv_div(iv_mul(L, iv_add(ONE, x)), y)
+    inner = iv_add(lead, iv_div(iv_mul(x, iv_add(slope, bend)), y))
+    ratio = iv_div(F, normalizing_constant(CLParams(p, 0)))
+    total = iv_mul(iv_mul(ratio, pow_p_minus(p, params.rate, M)), iv_div(inner, y))
+    return Interval(0.0, total.hi)
 
 
 def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
@@ -149,44 +145,31 @@ def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     )
 
 
-def entropy_by_definition(params: CLParams, N: int, J: int = 64) -> CertifiedValue:
+def entropy_by_definition(params: CLParams, N: int) -> CertifiedValue:
     """Independent entropy route: truncated -sum nu log nu, tail folded in.
 
-    Sums h(nu(A)) = nu(A)(-log nu(A)) levelwise through level N, then adds
-    [0, T(N)].  Used to cross-check the identity route: its per-level
+    Sums h(nu(A)) = nu(A)(-log nu(A)) levelwise through level N >= 0, then
+    adds [0, T(N)].  Used to cross-check the identity route: its per-level
     statistics come from listing every partition
     (``level_stats_by_enumeration``, under the enumeration budget), not
-    from the rank chain that the identity route reads.
+    from the rank chain that the identity route reads; its tail reads
+    Hall's closed level sum, which the chain does not.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     p = params.p
-    F = normalizing_constant(params, J)
-    floor = _level_floor(params.u)
-    if N < floor:
-        raise RefusalError(
-            f"truncation level {N} is below the validity floor {floor} for "
-            f"u={params.u} (omitted class measures must stay below 1/e)"
-        )
+    F = normalizing_constant(params)
     check_enumeration_budget(N)
-    tail = _entropy_tail(params, F, N)
-    if tail.hi == math.inf:
-        raise RefusalError(
-            f"class-measure bound at level {N + 1} is not below 1/e; "
-            f"increase the truncation level"
-        )
     mlf = iv_neg(iv_log(F))
-    L = iv_log_int(p)
+    u_log = iv_mul(iv_point(float(params.u)), iv_log_int(p))
     acc = mlf  # trivial group: h(F_u) = F_u (-log F_u), the F_u folds below
     for n in range(1, N + 1):
         _, r_iv, s_iv = level_stats_by_enumeration(p, n)
-        pw = pow_p_minus(p, params.exponent, n)
-        if params.integral:
-            un_log = iv_mul_scalar(L, float(params.u * n))
-        else:
-            un_log = iv_mul(params.exponent, iv_mul_scalar(L, float(n)))
-        level = iv_mul(pw, iv_add(iv_mul(iv_add(mlf, un_log), r_iv), s_iv))
-        acc = iv_add(acc, level)
-    value = iv_add(iv_mul(F, acc), Interval(0.0, tail.hi))
-    return CertifiedValue(value, N, 0.0)
+        minus_log = iv_add(mlf, iv_mul_scalar(u_log, float(n)))
+        level = iv_add(iv_mul(minus_log, r_iv), s_iv)
+        acc = iv_add(acc, iv_mul(pow_p_minus(p, params.exponent, n), level))
+    tail = _entropy_tail(params, F, N)
+    return CertifiedValue(iv_add(iv_mul(F, acc), tail), N, 0.0)
 
 
 def entropy_upper_bound(params: CLParams, N: int = 30, K: int = 48) -> Interval:
@@ -204,7 +187,7 @@ def entropy_upper_bound(params: CLParams, N: int = 30, K: int = 48) -> Interval:
     if isinstance(u, (int, float)) and u < 2:
         raise RefusalError(f"the closed entropy bound requires u >= 2, got {u}")
     p = params.p
-    F = normalizing_constant(params, 64)
+    F = normalizing_constant(params)
 
     first = ZERO
     for k in range(1, K + 1):
@@ -300,7 +283,7 @@ def scan_exceptions(
     return hits
 
 
-def weighted_log_term(params: CLParams, A: AbelianPGroup, J: int = 64) -> Interval:
+def weighted_log_term(params: CLParams, A: AbelianPGroup) -> Interval:
     """The per-class entropy contribution F_u log(x_A)/x_A, x_A = #A^u #Aut A.
 
     Zero for the trivial group.  For every non-exceptional (A, u) this is
@@ -308,7 +291,7 @@ def weighted_log_term(params: CLParams, A: AbelianPGroup, J: int = 64) -> Interv
     """
     if A.p != params.p:
         raise ValueError(f"group is a {A.p}-group but params.p = {params.p}")
-    F = normalizing_constant(params, J)
+    F = normalizing_constant(params)
     if A.is_trivial():
         return ZERO
     if params.integral:
@@ -346,8 +329,8 @@ def exceptional_margins(p_set: tuple[int, ...] = (2, 3)) -> tuple[Interval, Inte
     ):
         lo_params = CLParams(p, u)
         hi_params = CLParams(p, u + 1)
-        lhs = iv_neg(iv_log(normalizing_constant(lo_params, 64)))
-        rhs = iv_neg(iv_log(normalizing_constant(hi_params, 64)))
+        lhs = iv_neg(iv_log(normalizing_constant(lo_params)))
+        rhs = iv_neg(iv_log(normalizing_constant(hi_params)))
         for parts in classes:
             A = AbelianPGroup(p, parts)
             lhs = iv_add(lhs, weighted_log_term(lo_params, A))

@@ -18,8 +18,8 @@ Certification discipline:
   an interval once at the end;
 * series over all groups are summed by rank (``RankChain``, walked by
   ``rank_series``), with a proven tail past rank R that falls like p^(-R^2);
-* level series that list partitions (the definition-route entropy, the
-  Hall sums) carry tail bounds built from two ingredients only:
+* the Hall sums, which list partitions level by level, carry tail bounds
+  built from two ingredients only:
   #Aut A >= #A (1 - 1/p) >= p^{n-1} for #A = p^n (so 1/#Aut <= p^{1-n}),
   and the unconditional partition-count bound pi(n) < e^{c sqrt n} with
   c = pi sqrt(2/3).  A tail is summed level-exactly over a strip past the
@@ -120,7 +120,8 @@ def pow_p_minus(p: int, exponent, n: int) -> Interval:
 
 def partial_product(p: int, s, k: int) -> Interval:
     """Enclosure of prod_{i=1}^{k} (1 - p^{-s-i}): exact rational factors
-    at integral s >= 0, interval exp/log otherwise."""
+    at integral s >= 0, interval exp/log otherwise.  Refuses when rounding
+    leaves the product not certified positive (s within rounding of -1)."""
     prod = ONE
     if isinstance(s, int) and s >= 0:
         for i in range(1, k + 1):
@@ -132,6 +133,9 @@ def partial_product(p: int, s, k: int) -> Interval:
         for i in range(1, k + 1):
             expo = iv_mul(iv_add(s_iv, iv_from_int(i)), L)
             prod = iv_mul(prod, iv_sub(ONE, iv_exp(iv_neg(expo))))
+    if not prod.lo > 0.0:  # 1 - p^-(s+1) within rounding of 0
+        raise RefusalError(f"1 - p^-(u+1) is not certified positive at p={p}: "
+                           f"the unit-rank is too close to -1")
     return prod
 
 
@@ -181,7 +185,7 @@ def auto_product_depth(p: int, u, eps: float) -> int:
     return J
 
 
-def cl_measure(params: CLParams, A, J: int = 64) -> Interval:
+def cl_measure(params: CLParams, A) -> Interval:
     """Enclosure of nu(A) = F_u / (#A^u #Aut A).
 
     The denominator is an exact big integer when u is integral; in extended
@@ -190,7 +194,7 @@ def cl_measure(params: CLParams, A, J: int = 64) -> Interval:
     """
     if A.p != params.p:
         raise ValueError(f"group is a {A.p}-group but params.p = {params.p}")
-    F = normalizing_constant(params, J)
+    F = normalizing_constant(params)
     if A.is_trivial():
         return F
     if params.integral:
@@ -604,20 +608,19 @@ def rank_series(
     )
 
 
-def total_mass(params: CLParams, J: int | None = None, eps: float = 1e-6) -> CertifiedValue:
+def total_mass(params: CLParams, eps: float = 1e-6) -> CertifiedValue:
     """Certified truncation of sum_A nu(A) (which is exactly 1), by rank.
 
     ``value`` encloses F_u sum_{a<=R} Z(a), the mass of the groups of rank
     at most R, and ``tail_bound`` dominates the rest F_u sum_{a>R} Z(a)
-    (``RankChain.rests``); ``truncation_level`` is R.  J defaults to the
-    auto rule (p^{-u-J}/(p-1) < eps/4) and R is the ``rank_series`` cutoff
-    for eps/2.  The enclosure value + [0, tail] must straddle 1; tests hold
-    it to that.  The chain and its rest read no closed form of the rank
-    law, so this is a real check of the normalization.
+    (``RankChain.rests``); ``truncation_level`` is R.  F_u is taken at the
+    product depth of ``auto_product_depth`` for eps and R is the
+    ``rank_series`` cutoff for eps/2.  The enclosure value + [0, tail] must
+    straddle 1; tests hold it to that.  The chain and its rest read no
+    closed form of the rank law, so this is a real check of the
+    normalization.
     """
-    if J is None:
-        J = auto_product_depth(params.p, params.u, eps)
-    F = normalizing_constant(params, J)
+    F = normalizing_constant(params, auto_product_depth(params.p, params.u, eps))
     R, value, rest = rank_series(
         RankChain(params), F, (ONE, ZERO, ZERO), eps / 2, "total mass",
         f"p={params.p}, u={params.u}",

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import RefusalError
 from .groups import is_prime
 from .measures import (
     CLParams,
@@ -102,13 +103,13 @@ def w_k_weight(A, k: int) -> Fraction:
     return Fraction(num, p**expo * A.aut_order)
 
 
-def zeta_product(params: ZetaParams, J: int = 64) -> Interval:
+def zeta_product(params: ZetaParams) -> Interval:
     """Enclosure of prod_{i=1}^{k} (1 - p^{-s-i})^{-1} (k = None takes the
     infinite product, i.e. the reciprocal of the normalizing constant at
     unit-rank s)."""
     p, k, s = params.p, params.k, params.s
     if k is None:
-        return iv_div(ONE, normalizing_constant(CLParams(p, s), J))
+        return iv_div(ONE, normalizing_constant(CLParams(p, s)))
     return iv_div(ONE, partial_product(p, s, k))
 
 
@@ -148,7 +149,11 @@ def _log_ratio_sum(p: int, s, k: int) -> Interval:
         s_iv = iv_point(float(s))
         for i in range(1, k + 1):
             expo = iv_mul(iv_add(s_iv, iv_from_int(i)), L)
-            acc = iv_add(acc, iv_div(L, iv_sub(iv_exp(expo), ONE)))
+            denom = iv_sub(iv_exp(expo), ONE)
+            if not denom.lo > 0.0:  # p^(s+1) - 1 within rounding of 0
+                raise RefusalError(f"1 - p^-(u+1) is not certified positive at p={p}: "
+                                   f"the unit-rank is too close to -1")
+            acc = iv_add(acc, iv_div(L, denom))
     return acc
 
 
@@ -244,7 +249,7 @@ def limit_derivative_identity(p: int, u1, tol: float, k_max: int = 200) -> bool:
     if not tol > 0:
         raise ValueError("tol must be positive")
     params = CLParams(p, u1)
-    F = normalizing_constant(params, 64)
+    F = normalizing_constant(params)
     L = math.log(p)
     I = 8
     while L * p ** (-(params.u + I)) / (p - 1) >= tol / 20 and I < 4096:

@@ -1,13 +1,17 @@
 """Command-line interface: record formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clentropy import cli
 
@@ -170,6 +174,15 @@ def test_usage_errors(capsys):
     err = run_main_expect_usage_error(["zeta", "--p", "2", "--k", "3", "--s", "0", "--N", "20"], capsys)
     assert "unrecognized arguments: --N 20" in err
     for argv in (
+        ["entropy", "--p", "2", "--u", "401"],
+        ["kl", "--p", "97", "--u1", "1e15", "--u2", "0"],
+        ["kl", "--p", "97", "--u1", "0", "--u2", "1e7"],
+        ["table", "--p", "2", "--u", "400.5", "--max-order-exponent", "4"],
+        ["zeta", "--p", "2", "--k", "3", "--s", "1e4"],
+    ):
+        err = run_main_expect_usage_error(argv, capsys)
+        assert f"must be at most {cli.MAX_UNIT_RANK}, got" in err, argv
+    for argv in (
         ["entropy", "--p", "2", "--u", "inf"],
         ["kl", "--p", "2", "--u1", "0", "--u2", "inf"],
         ["table", "--p", "2", "--u", "inf", "--max-order-exponent", "4"],
@@ -188,6 +201,32 @@ def test_refusal_emits_single_record_and_exit_3(capsys):
     assert record["status"] == "refused"
     assert record["command"] == "entropy"
     assert record["diagnostic"]
+
+
+NEXT_TO_MINUS_ONE = repr(math.nextafter(-1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--p", "2", "--u", NEXT_TO_MINUS_ONE],
+        ["kl", "--p", "2", "--u1", NEXT_TO_MINUS_ONE, "--u2", "0"],
+        ["kl", "--p", "2", "--u1", "0", "--u2", NEXT_TO_MINUS_ONE, "--mode", "direct"],
+        ["kl", "--p", "47", "--u1", NEXT_TO_MINUS_ONE, "--u2", NEXT_TO_MINUS_ONE, "--mode", "closed"],
+        ["zeta", "--p", "2", "--k", "3", "--s", NEXT_TO_MINUS_ONE],
+        ["zeta", "--p", "2", "--k", "inf", "--s", NEXT_TO_MINUS_ONE],
+        ["zeta", "--p", "47", "--k", "3", "--s", NEXT_TO_MINUS_ONE, "--mode", "derivative"],
+        ["table", "--p", "2", "--u", NEXT_TO_MINUS_ONE, "--max-order-exponent", "2"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
+)
+def test_unit_rank_within_rounding_of_minus_one_refuses(argv, capsys):
+    code, out, _ = run_main(argv, capsys)
+    assert code == 3
+    (line,) = out.splitlines()
+    record = json.loads(line)
+    assert record["status"] == "refused" and record["command"] == argv[0]
+    assert record["diagnostic"].endswith("the unit-rank is too close to -1")
 
 
 def test_verification_failure_gives_exit_4(capsys, monkeypatch):
@@ -242,3 +281,58 @@ def test_reserved_flags_do_not_change_output(capsys):
     _, plain, _ = run_main(base_args, capsys)
     _, seeded, _ = run_main(base_args + ["--seed", "7", "--threads", "4"], capsys)
     assert plain == seeded
+
+
+# ------------------------------------------------------------ fuzz the box
+
+PRIMES_TO_97 = [q for q in range(2, cli.MAX_PRIME + 1) if all(q % d for d in range(2, q))]
+
+
+@st.composite
+def advertised_requests(draw):
+    """One request from the advertised box: p <= 97, -1 < u <= MAX_UNIT_RANK,
+    eps in [1e-12, 1e-1].  Unit-ranks go as --u=VALUE: argparse takes a
+    negative number with an exponent, such as -1e-05, for an option."""
+    p = str(draw(st.sampled_from(PRIMES_TO_97)))
+
+    def rank():
+        u = draw(st.one_of(
+            st.floats(-1.0, float(cli.MAX_UNIT_RANK), exclude_min=True),
+            st.floats(-1.0, 3.0, exclude_min=True),
+            st.integers(0, cli.MAX_UNIT_RANK).map(float),
+        ))
+        return repr(u)
+
+    command = draw(st.sampled_from(["entropy", "kl", "zeta", "table"]))
+    if command == "entropy":
+        eps = draw(st.floats(cli.EPS_MIN, cli.EPS_MAX))
+        return ["entropy", "--p", p, f"--u={rank()}", "--eps", repr(eps)]
+    if command == "kl":
+        mode = draw(st.sampled_from(["closed", "direct", "both"]))
+        return ["kl", "--p", p, f"--u1={rank()}", f"--u2={rank()}", "--mode", mode]
+    if command == "zeta":
+        k = draw(st.sampled_from(["inf"] + [str(k) for k in range(1, 9)]))
+        modes = ["product"] if k == "inf" else ["product", "sum", "derivative", "all"]
+        return ["zeta", "--p", p, "--k", k, f"--s={rank()}", "--mode", draw(st.sampled_from(modes))]
+    exponent = str(draw(st.integers(0, 4)))
+    return ["table", "--p", p, f"--u={rank()}", "--max-order-exponent", exponent]
+
+
+@settings(max_examples=300, deadline=None)
+@given(advertised_requests())
+@example(["entropy", "--p", "2", "--u", NEXT_TO_MINUS_ONE, "--eps", "1e-12"])
+@example(["entropy", "--p", "97", "--u", repr(-1 + 1e-12), "--eps", "1e-12"])
+@example(["kl", "--p", "47", "--u1", NEXT_TO_MINUS_ONE, "--u2", NEXT_TO_MINUS_ONE, "--mode", "both"])
+@example(["kl", "--p", "2", "--u1", repr(-1 + 1e-12), "--u2", "400", "--mode", "both"])
+@example(["zeta", "--p", "97", "--k", "8", "--s", repr(-1 + 1e-12), "--mode", "all"])
+@example(["table", "--p", "97", "--u", "400", "--max-order-exponent", "4"])
+def test_advertised_box_answers_or_refuses_with_one_record(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert code in (0, 3), argv
+    if code == 3:
+        assert [r["status"] for r in records] == ["refused"], argv
+    else:
+        assert records and all(r["status"] == "ok" for r in records), argv

@@ -1,5 +1,8 @@
 """Shannon entropy of the measures: two routes, monotonicity, margins."""
 
+import importlib
+import math
+
 import pytest
 
 from clentropy import (
@@ -20,8 +23,11 @@ from clentropy import (
     scan_exceptions,
     weighted_log_term,
 )
-from clentropy.measures import check_enumeration_budget
-from clentropy.numerics import iv_from_int
+from clentropy import aut_order_parts, bound_series_tail, iter_partitions, partition_count
+from clentropy.measures import check_enumeration_budget, level_stats_by_enumeration, pow_p_minus
+from clentropy.numerics import iv_from_int, iv_log_int, iv_point, iv_recip_int
+
+ENTROPY_MODULE = importlib.import_module("clentropy.entropy")
 
 # High-precision reference values (60-digit product/series evaluations,
 # truncated here to 12 significant digits; certified intervals at
@@ -142,9 +148,114 @@ def test_definition_route_at_extended_u():
     assert via_identity.H.value.overlaps(via_definition.enclosure())
 
 
-def test_definition_route_refuses_too_small_level():
-    with pytest.raises(RefusalError):
-        entropy_by_definition(CLParams(2, 0), N=1)
+def test_definition_route_answers_from_level_zero():
+    # the Hall tail converges at every level, so no floor on N is needed
+    via_identity = entropy(CLParams(2, 0), eps=1e-6)
+    for N in (0, 1):
+        via_definition = entropy_by_definition(CLParams(2, 0), N=N)
+        assert via_identity.H.value.overlaps(via_definition.enclosure()), N
+
+
+# ------------------------------------------------------- definition tail
+
+
+def _level_entropy(params, F, n):
+    """The exact sum of -nu log nu over the groups of order p^n, enclosed
+    group by group from the listed partitions (-log nu in logs, since nu
+    itself can underflow)."""
+    p = params.p
+    u_n_log = iv_mul(iv_point(float(params.u * n)), iv_log_int(p))
+    total = iv_from_int(0)
+    for parts in iter_partitions(n):
+        aut = aut_order_parts(p, parts)
+        nu = iv_mul(F, iv_mul(pow_p_minus(p, params.exponent, n), iv_recip_int(aut)))
+        total = total + iv_mul(nu, -iv_log(F) + u_n_log + iv_log_int(aut))
+    return total
+
+
+@pytest.mark.parametrize(
+    "p, u, N", [(2, 0, 8), (2, 1, 6), (3, 0, 5), (2, -0.5, 8), (2, 1.5, 5), (5, 0, 4)]
+)
+def test_definition_tail_dominates_the_next_18_levels(p, u, N):
+    params = CLParams(p, u)
+    F = normalizing_constant(params)
+    omitted = sum(_level_entropy(params, F, n).hi for n in range(N + 1, N + 19))
+    assert omitted <= ENTROPY_MODULE._entropy_tail(params, F, N).hi
+
+
+@pytest.mark.parametrize("p, u, N", [(2, 0, 0), (2, 0, 42), (3, 1, 10), (2, -0.5, 8), (97, 2.5, 3)])
+def test_definition_tail_is_the_closed_form_of_its_series(p, u, N):
+    # T(N) = (F_u / F_0) sum_{n>N} x^n (-log F_u + u L n + L n^2), summed
+    # term by term in floats until the terms vanish
+    params = CLParams(p, u)
+    F = normalizing_constant(params)
+    L, x, f = math.log(p), float(p) ** -(u + 1), F.mid
+    ratio = f / normalizing_constant(CLParams(p, 0)).mid
+    terms = [x**n * (-math.log(f) + u * L * n + L * n * n) for n in range(N + 1, N + 3000)]
+    tail = ENTROPY_MODULE._entropy_tail(params, F, N)
+    assert tail.lo == 0.0
+    assert tail.hi == pytest.approx(ratio * math.fsum(terms), rel=1e-12)
+
+
+def _strip_tail(params, F, N):
+    """The tail bound the definition route used before the Hall tail:
+    sum_{n>N} pi(n) h(F_u p^{1-(u+1)n}) through ``bound_series_tail``."""
+    p, rate = params.p, params.rate
+    L = iv_log(iv_from_int(p))
+    alpha = -iv_log(F) - L
+    beta = iv_mul(iv_from_int(rate), L) if params.integral else iv_mul(rate, L)
+    return bound_series_tail(p, rate, N, [alpha, beta], iv_mul(F, iv_from_int(p)))
+
+
+@pytest.mark.parametrize(
+    "p, u, N, new, old",
+    [(2, 0, 42, 3.06e-10, 3.20e-7), (2, -0.5, 42, 7.36e-4, 0.598)]
+    + [(p, u, N, None, None) for (p, u), N in sorted(DEFINITION_LEVEL.items())]
+    + [(2, 1.5, 11, None, None), (3, 0, 10, None, None), (2, -0.5, 10, None, None)],
+)
+def test_definition_tail_is_below_the_strip_bound(p, u, N, new, old):
+    params = CLParams(p, u)
+    F = normalizing_constant(params)
+    hall = ENTROPY_MODULE._entropy_tail(params, F, N).hi
+    strip = _strip_tail(params, F, N).hi
+    assert hall <= strip
+    if new is not None:
+        assert hall == pytest.approx(new, rel=0.01)
+        assert strip == pytest.approx(old, rel=0.01)
+
+
+def _raising(name):
+    def fail(*args):
+        raise AssertionError(f"{name} read")
+    return fail
+
+
+def test_definition_tail_reads_no_partition_count_and_no_strip(monkeypatch):
+    # the budget check counts the partitions through level N; none past it
+    # may be read, and the strip tail not at all
+    def counts_through(N):
+        def count(n):
+            if n > N:
+                raise AssertionError(f"partition count of level {n} read")
+            return partition_count(n)
+        return count
+
+    for name in ("clentropy", "clentropy.partitions", "clentropy.measures"):
+        monkeypatch.setattr(importlib.import_module(name), "partition_count", counts_through(17))
+    for name in ("clentropy", "clentropy.measures"):
+        monkeypatch.setattr(importlib.import_module(name), "bound_series_tail",
+                            _raising("bound_series_tail"))
+    result = entropy_by_definition(CLParams(2, 1), N=17)
+    assert result.value.contains(ENTROPY_REFERENCE[(2, 1)])
+
+
+def test_definition_route_lists_partitions(monkeypatch):
+    for name in ("clentropy", "clentropy.partitions", "clentropy.measures"):
+        monkeypatch.setattr(importlib.import_module(name), "iter_partitions",
+                            _raising("iter_partitions"))
+    level_stats_by_enumeration.cache_clear()
+    with pytest.raises(AssertionError, match="iter_partitions read"):
+        entropy_by_definition(CLParams(2, 1), N=17)
 
 
 # -------------------------------------------------------------- monotonicity

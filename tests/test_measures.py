@@ -29,7 +29,6 @@ from clentropy import (
 from clentropy import ZetaParams, cross_entropy_direct, entropy, entropy_by_definition
 from clentropy import kl_closed, kl_direct, zeta_product, zeta_sum
 from clentropy import measures
-from clentropy.groups import is_prime
 from clentropy.measures import (
     MAX_ENUM_PARTITIONS,
     RankChain,
@@ -533,8 +532,8 @@ def test_engine_walk_stops_at_first_level_strictly_below_target():
 
 
 def test_engine_explicit_level_checks_level_then_budget_then_tail(monkeypatch):
-    # the explicit level of the definition route: the validity floor, then
-    # the enumeration budget, then the tail
+    # the explicit level of the definition route: its sign, then the
+    # enumeration budget, then the tail
     entropy_module = importlib.import_module("clentropy.entropy")
     asked = []
     tail = entropy_module._entropy_tail
@@ -544,8 +543,8 @@ def test_engine_explicit_level_checks_level_then_budget_then_tail(monkeypatch):
         return tail(params, F, N)
 
     monkeypatch.setattr(entropy_module, "_entropy_tail", recorded)
-    with pytest.raises(RefusalError, match="below the validity floor"):
-        entropy_by_definition(CLParams(2, 0), N=2)
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        entropy_by_definition(CLParams(2, 0), N=-1)
     with pytest.raises(RefusalError, match="enumeration budget"):
         entropy_by_definition(CLParams(2, 0), N=120)
     assert asked == []
@@ -563,13 +562,11 @@ def test_engine_refuses_past_the_level_cap(monkeypatch):
 
 
 def test_entropy_start_level_above_the_cap_refuses():
-    # the 1/e floor at u = -0.999 is level 1002, past the enumeration budget
-    # of the definition route (the identity route answers, by rank)
+    # level 1002 is past the enumeration budget of the definition route
+    # (the identity route answers u = -0.999, by rank)
     with pytest.raises(RefusalError) as excinfo:
         entropy_by_definition(CLParams(2, -0.999), N=1002)
     assert "enumeration budget" in str(excinfo.value)
-    with pytest.raises(RefusalError, match="validity floor 1002"):
-        entropy_by_definition(CLParams(2, -0.999), N=60)
     assert entropy(CLParams(2, -0.999)).H.value.width <= 1e-6
 
 
@@ -603,36 +600,6 @@ def test_direct_sums_reject_level_zero(direct):
     # the level argument is gone: the rank walk picks its own cutoff
     with pytest.raises(TypeError, match="'N'"):
         direct(2, 0, 1, N=0)
-
-
-def test_definition_route_refuses_uncertified_class_measure_bound(monkeypatch):
-    # At the validity floor b_{N+1} <= F_u p^{-3(u+1)} < 0.11 for every
-    # admissible (p, u), so lower the ceiling to see the refusal.
-    entropy_module = importlib.import_module("clentropy.entropy")
-    monkeypatch.setattr(entropy_module, "_H_ARG_CEILING", 1e-300)
-    with pytest.raises(RefusalError) as excinfo:
-        entropy_by_definition(CLParams(2, 0), N=5)
-    assert str(excinfo.value) == (
-        "class-measure bound at level 6 is not below 1/e; increase the truncation level"
-    )
-
-
-def test_class_measure_bound_at_the_validity_floor_is_below_0_11(monkeypatch):
-    # b_{N+1} = F_u p^{1-(u+1)(N+1)} <= (1 - x) x^3 with x = p^-(u+1) at
-    # N = _level_floor(u), so the 1/e guard in _entropy_tail holds with room
-    # at every level the definition route asks.  Checked through the guard
-    # itself, with the ceiling lowered to 0.11, the tail stubbed out, and
-    # F_u at J = 1, the widest upper bound any product depth gives.
-    entropy_module = importlib.import_module("clentropy.entropy")
-    monkeypatch.setattr(entropy_module, "_H_ARG_CEILING", 0.11)
-    monkeypatch.setattr(entropy_module, "bound_series_tail", lambda *args: ONE)
-    grid = [-0.999, -0.9, -0.75, -2 / 3, -0.585, -0.5, -0.25, 0, 0.5, 1, 1.5, 2, 3]
-    for p in (q for q in range(2, 98) if is_prime(q)):
-        for u in grid:
-            params = CLParams(p, u)
-            F = normalizing_constant(params, 1)
-            floor = entropy_module._level_floor(params.u)
-            assert entropy_module._entropy_tail(params, F, floor) == ONE, (p, u)
 
 
 # ---------------------------------------------------------------- rank chain

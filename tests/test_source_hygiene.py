@@ -7,7 +7,10 @@ only by ``measures.py``, where it is the independent oracle of the
 level-statistics DP; ``__init__.py`` re-exports it for users.  Likewise
 ``level_stats`` (the DP's level statistics) is read only by ``measures.py``
 and re-exported by ``__init__.py``: every series is summed by rank, so the
-DP can be deleted without touching another module's code.  There is no
+DP can be deleted without touching another module's code.  And
+``bound_series_tail`` (the partition-count strip tail) is read only by
+``measures.py``, for the Hall sums: the definition-route entropy closes
+its tail with Hall's level sum instead.  There is no
 linter in the toolchain, so this is the gate.  A name counts as used when
 it is loaded anywhere in the module or listed in ``__all__`` (the
 package's re-exports).
@@ -28,8 +31,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "clentropy"
 MODULES = sorted(SRC.glob("*.py"))
 # partitions.py defines it, measures.py holds the oracle, __init__ re-exports
 ENUMERATION_ALLOWED = {"partitions.py", "measures.py", "__init__.py"}
-# measures.py defines it, __init__ re-exports
+# measures.py defines them, __init__ re-exports
 LEVEL_STATS_ALLOWED = {"measures.py", "__init__.py"}
+STRIP_TAIL_ALLOWED = {"measures.py", "__init__.py"}
 HEAVY_IMPORTS = {"numpy", "mpmath"}
 
 
@@ -121,6 +125,13 @@ def test_level_stats_read_only_by_measures(path):
     assert name_reads(ast.parse(path.read_text()), "level_stats") == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in STRIP_TAIL_ALLOWED], ids=lambda p: p.name
+)
+def test_bound_series_tail_read_only_by_measures(path):
+    assert name_reads(ast.parse(path.read_text()), "bound_series_tail") == []
+
+
 def test_checks_catch_local_private_and_unused_imports():
     tree = ast.parse(
         "import os\n"
@@ -150,6 +161,16 @@ def test_check_catches_partition_enumeration():
         "    return measures.level_stats(2, n)\n"
     )
     assert name_reads(tree, "level_stats") == ["line 4", "line 5"]
+    tree = ast.parse(
+        "from .measures import (\n"
+        "    CLParams,\n"
+        "    bound_series_tail,\n"
+        ")\n"
+        "from . import measures\n"
+        "def tail(p, N, coeffs, scale):\n"
+        "    return measures.bound_series_tail(p, 1, N, coeffs, scale)\n"
+    )
+    assert name_reads(tree, "bound_series_tail") == ["line 1", "line 7"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
