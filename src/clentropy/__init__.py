@@ -4,121 +4,102 @@ All numerical results are directed-rounding intervals (or exact rationals)
 guaranteed to contain the true value; truncated sums carry certified tail
 bounds.  When a certificate cannot be produced, functions raise
 ``RefusalError`` rather than return an unverified number.
+
+Importing the package loads no module: the first read of a name below
+loads them all.  So ``import clentropy.cli``, which reads no name here,
+compiles only the modules the CLI imports itself.
 """
 
-from .entropy import (
-    EntropyResult,
-    check_decreasing_inequality,
-    check_reduced_inequality_rank1,
-    entropy,
-    entropy_by_definition,
-    entropy_upper_bound,
-    exceptional_margins,
-    scan_exceptions,
-    weighted_log_term,
-)
-from .errors import IntervalDomainError, RefusalError, TailClosureError
-from .groups import (
-    AbelianPGroup,
-    AutBoundReport,
-    aut_order,
-    aut_order_block_formula,
-    aut_order_bruteforce,
-    aut_order_generating_tuples,
-    aut_order_parts,
-    check_aut_lower_bound,
-    group_order,
-    groups_of_order_exponent,
-    is_prime,
-    pow_le,
-)
-from .measures import (
-    CLParams,
-    auto_product_depth,
-    bound_series_tail,
-    cl_measure,
-    hall_sum_partial,
-    hall_tail_bounds,
-    level_stats,
-    normalizing_constant,
-    total_mass,
-)
-from .numerics import CertifiedValue, Interval, iv_div, iv_log, iv_mul, iv_point
-from .partitions import (
-    dual_partition,
-    enumerate_partitions,
-    is_partition,
-    iter_partitions,
-    n_lambda,
-    partition_count,
-)
-from .zeta import (
-    ZetaParams,
-    cross_entropy_direct,
-    kl_closed,
-    kl_direct,
-    limit_derivative_identity,
-    w_k_weight,
-    zeta_log_derivative,
-    zeta_product,
-    zeta_sum,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
+
+_EXPORTS = {
+    "entropy": (
+        "EntropyResult",
+        "check_decreasing_inequality",
+        "check_reduced_inequality_rank1",
+        "entropy",
+        "entropy_by_definition",
+        "entropy_upper_bound",
+        "exceptional_margins",
+        "scan_exceptions",
+        "weighted_log_term",
+    ),
+    "errors": ("IntervalDomainError", "RefusalError", "TailClosureError"),
+    "groups": (
+        "AbelianPGroup",
+        "AutBoundReport",
+        "aut_order",
+        "aut_order_block_formula",
+        "aut_order_bruteforce",
+        "aut_order_generating_tuples",
+        "aut_order_parts",
+        "check_aut_lower_bound",
+        "group_order",
+        "groups_of_order_exponent",
+        "is_prime",
+        "pow_le",
+    ),
+    "measures": (
+        "CLParams",
+        "auto_product_depth",
+        "bound_series_tail",
+        "cl_measure",
+        "hall_sum_partial",
+        "hall_tail_bounds",
+        "level_stats",
+        "normalizing_constant",
+        "total_mass",
+    ),
+    "numerics": ("CertifiedValue", "Interval", "iv_div", "iv_log", "iv_mul", "iv_point"),
+    "partitions": (
+        "dual_partition",
+        "enumerate_partitions",
+        "is_partition",
+        "iter_partitions",
+        "n_lambda",
+        "partition_count",
+    ),
+    "zeta": (
+        "ZetaParams",
+        "cross_entropy_direct",
+        "kl_closed",
+        "kl_direct",
+        "limit_derivative_identity",
+        "w_k_weight",
+        "zeta_log_derivative",
+        "zeta_product",
+        "zeta_sum",
+    ),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianPGroup",
-    "AutBoundReport",
-    "CLParams",
-    "CertifiedValue",
-    "EntropyResult",
-    "Interval",
-    "IntervalDomainError",
-    "RefusalError",
-    "TailClosureError",
-    "ZetaParams",
-    "aut_order",
-    "aut_order_block_formula",
-    "aut_order_bruteforce",
-    "aut_order_generating_tuples",
-    "aut_order_parts",
-    "auto_product_depth",
-    "bound_series_tail",
-    "check_aut_lower_bound",
-    "check_decreasing_inequality",
-    "check_reduced_inequality_rank1",
-    "cl_measure",
-    "cross_entropy_direct",
-    "dual_partition",
-    "entropy",
-    "entropy_by_definition",
-    "entropy_upper_bound",
-    "enumerate_partitions",
-    "exceptional_margins",
-    "group_order",
-    "groups_of_order_exponent",
-    "hall_sum_partial",
-    "hall_tail_bounds",
-    "is_partition",
-    "is_prime",
-    "iter_partitions",
-    "iv_div",
-    "iv_log",
-    "iv_mul",
-    "iv_point",
-    "kl_closed",
-    "kl_direct",
-    "level_stats",
-    "limit_derivative_identity",
-    "n_lambda",
-    "normalizing_constant",
-    "partition_count",
-    "pow_le",
-    "scan_exceptions",
-    "total_mass",
-    "w_k_weight",
-    "weighted_log_term",
-    "zeta_log_derivative",
-    "zeta_product",
-    "zeta_sum",
-]
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The first name read binds them all, as the eager imports did: a
+    # long-lived caller pays every module load once, before its own work.
+    for module, names in _EXPORTS.items():
+        home = import_module(f".{module}", __name__)
+        globals().update((export, getattr(home, export)) for export in names)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Importing a submodule binds it on the package; the submodule
+        # ``entropy`` must not hide the function ``entropy``.
+        if not (name in __all__ and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -14,13 +14,12 @@ Records are buffered per command, so a refusal never leaves partial output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
-from .entropy import entropy, exceptional_margins, scan_exceptions
 from .errors import RefusalError
 from .groups import AbelianPGroup, check_aut_lower_bound, is_prime
 from .measures import (
@@ -32,14 +31,9 @@ from .measures import (
 )
 from .numerics import ONE, iv_div
 from .partitions import enumerate_partitions
-from .zeta import (
-    ZetaParams,
-    kl_closed,
-    kl_direct,
-    zeta_log_derivative,
-    zeta_product,
-    zeta_sum,
-)
+
+# Every CLI call is a fresh process, so each handler imports what only it
+# needs (entropy, zeta, csv): a subcommand does not pay to load another's.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,6 +46,8 @@ MAX_PRIME = 97
 MAX_UNIT_RANK = 400
 EPS_MIN, EPS_MAX = 1e-12, 1e-1
 VERIFY_SUITES = ("lemma1", "exceptions", "monotone", "hall", "zeta", "margins")
+# A token starting "-digit" or "-.digit" is a value, never an option.
+NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _fmt_scalar(v) -> str:
@@ -90,6 +86,8 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         for record in records:
             out.write(_json_line(record) + "\n")
         return
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     if records:
         writer.writerow(records[0].keys())
@@ -132,6 +130,8 @@ def _cl_params(parser, p: int, u: float) -> CLParams:
 
 
 def cmd_entropy(parser, args) -> tuple[list[dict], int]:
+    from .entropy import entropy
+
     if not (EPS_MIN <= args.eps <= EPS_MAX):
         parser.error(f"--eps must lie in [{EPS_MIN:g}, {EPS_MAX:g}]")
     ps = _parse_int_list(parser, args.p, "--p")
@@ -157,6 +157,8 @@ def cmd_entropy(parser, args) -> tuple[list[dict], int]:
 
 
 def cmd_kl(parser, args) -> tuple[list[dict], int]:
+    from .zeta import kl_closed, kl_direct
+
     _cl_params(parser, args.p, args.u1)
     _cl_params(parser, args.p, args.u2)
     records = []
@@ -224,6 +226,8 @@ def cmd_table(parser, args) -> tuple[list[dict], int]:
 
 
 def cmd_zeta(parser, args) -> tuple[list[dict], int]:
+    from .zeta import ZetaParams, zeta_log_derivative, zeta_product, zeta_sum
+
     _check_prime(parser, args.p)
     if args.k == "inf":
         k = None
@@ -300,6 +304,8 @@ def _verify_lemma1(n_max: int) -> dict:
 
 
 def _verify_exceptions() -> dict:
+    from .entropy import scan_exceptions
+
     expected = [(2, 0, (1,)), (2, 0, (2,)), (2, 1, (1,)), (3, 0, (1,))]
     found = scan_exceptions(3, 6, 3)
     checks = 2 * 4 * sum(len(enumerate_partitions(n)) for n in range(1, 7))
@@ -311,6 +317,8 @@ def _verify_exceptions() -> dict:
 
 
 def _verify_monotone() -> dict:
+    from .entropy import entropy
+
     checks = 0
     failures = []
     for p in (2, 3):
@@ -345,6 +353,8 @@ def _verify_hall() -> dict:
 
 
 def _verify_zeta() -> dict:
+    from .zeta import ZetaParams, zeta_log_derivative, zeta_product, zeta_sum
+
     checks = 0
     failures = []
     for p in (2, 3):
@@ -367,6 +377,8 @@ def _verify_zeta() -> dict:
 
 
 def _verify_margins() -> dict:
+    from .entropy import exceptional_margins
+
     first, second, third = exceptional_margins()
     failures = []
     for name, margin, floor in (
@@ -464,6 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--n-max", type=int, default=8, help="order-exponent bound for group scans"
     )
+    for subparser in sub.choices.values():
+        # argparse's default reads only plain decimals such as -0.5 as
+        # negative numbers, so `--u -1e-05` would lack its value.
+        subparser._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

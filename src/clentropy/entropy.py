@@ -35,7 +35,6 @@ that the entropy differences survive the exceptions with room to spare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RefusalError
@@ -57,6 +56,7 @@ from .numerics import (
     ZERO,
     CertifiedValue,
     Interval,
+    Record,
     iv_add,
     iv_div,
     iv_exp,
@@ -74,8 +74,7 @@ from .numerics import (
 from .partitions import Partition, enumerate_partitions
 
 
-@dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(Record):
     """Certified entropy with its two-part decomposition.
 
     ``H.value`` already folds the truncation tail into its upper endpoint
@@ -83,10 +82,21 @@ class EntropyResult:
     By construction H.value equals minus_log_fu + weighted_sum.enclosure().
     """
 
-    params: CLParams
-    H: CertifiedValue
-    minus_log_fu: Interval
-    weighted_sum: CertifiedValue
+    _fields = ("params", "H", "minus_log_fu", "weighted_sum")
+
+    def __init__(self, params: CLParams, H: CertifiedValue, minus_log_fu: Interval,
+                 weighted_sum: CertifiedValue):
+        self.__dict__.update(
+            params=params, H=H, minus_log_fu=minus_log_fu, weighted_sum=weighted_sum)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.H, self.minus_log_fu, self.weighted_sum) == (
+            other.params, other.H, other.minus_log_fu, other.weighted_sum)
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.H, self.minus_log_fu, self.weighted_sum))
 
     @property
     def decomposition(self) -> tuple[Interval, CertifiedValue]:

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import RefusalError
+from .numerics import Record
 from .partitions import Partition, dual_partition, is_partition
 
 BRUTEFORCE_MAX_ORDER = 256
@@ -100,21 +100,28 @@ def aut_order_parts(p: int, parts: Partition) -> int:
     return p**exponent * q_part
 
 
-@dataclass(frozen=True)
-class AbelianPGroup:
+class AbelianPGroup(Record):
     """The group prod_i Z/p^{lambda_prime[i]} for a prime p.
 
     ``lambda_prime = ()`` is the trivial group.
     """
 
-    p: int
-    lambda_prime: Partition
+    _fields = ("p", "lambda_prime")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if not is_partition(self.lambda_prime):
-            raise ValueError(f"not a partition: {self.lambda_prime!r}")
+    def __init__(self, p: int, lambda_prime: Partition):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if not is_partition(lambda_prime):
+            raise ValueError(f"not a partition: {lambda_prime!r}")
+        self.__dict__.update(p=p, lambda_prime=lambda_prime)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.lambda_prime) == (other.p, other.lambda_prime)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.lambda_prime))
 
     @cached_property
     def order(self) -> int:
@@ -358,16 +365,26 @@ def aut_order_generating_tuples(a: AbelianPGroup) -> int:
     return sum(states.values())
 
 
-@dataclass(frozen=True)
-class AutBoundReport:
+class AutBoundReport(Record):
     """Outcome of the automorphism lower-bound checks for one group.
 
     ``rank2_bound_ok`` is None when the group is cyclic (bound not
     applicable).
     """
 
-    lower_bound_ok: bool
-    rank2_bound_ok: bool | None
+    _fields = ("lower_bound_ok", "rank2_bound_ok")
+
+    def __init__(self, lower_bound_ok: bool, rank2_bound_ok: bool | None):
+        self.__dict__.update(lower_bound_ok=lower_bound_ok, rank2_bound_ok=rank2_bound_ok)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lower_bound_ok, self.rank2_bound_ok) == (
+            other.lower_bound_ok, other.rank2_bound_ok)
+
+    def __hash__(self) -> int:
+        return hash((self.lower_bound_ok, self.rank2_bound_ok))
 
 
 def check_aut_lower_bound(a: AbelianPGroup) -> AutBoundReport:

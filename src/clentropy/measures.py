@@ -31,7 +31,6 @@ Certification discipline:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,6 +42,7 @@ from .numerics import (
     ZERO,
     CertifiedValue,
     Interval,
+    Record,
     iv_abs,
     iv_add,
     iv_div,
@@ -72,8 +72,7 @@ MAX_RANK = 20
 TAIL_STRIP = 160
 
 
-@dataclass(frozen=True)
-class CLParams:
+class CLParams(Record):
     """A prime p and a unit-rank u > -1.
 
     Integral u (the classical case) is normalized to int so downstream code
@@ -81,19 +80,26 @@ class CLParams:
     the extended mode in which p^{u n} is computed by interval exp/log.
     """
 
-    p: int
-    u: float
+    _fields = ("p", "u")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        u = self.u
+    def __init__(self, p: int, u: float):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if isinstance(u, bool) or not isinstance(u, (int, float)):
             raise ValueError(f"unit-rank must be a real number, got {u!r}")
         if not math.isfinite(u) or not u > -1:
             raise ValueError(f"unit-rank must be finite and > -1, got {u!r}")
         if isinstance(u, float) and u.is_integer() and u >= 0:
-            object.__setattr__(self, "u", int(u))
+            u = int(u)
+        self.__dict__.update(p=p, u=u)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.u) == (other.p, other.u)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.u))
 
     @property
     def integral(self) -> bool:

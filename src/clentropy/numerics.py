@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IntervalDomainError
@@ -277,8 +276,28 @@ def iv_abs(a: Interval) -> Interval:
 PARTITION_GROWTH = Interval._make(2.565099660323728, 2.565099660323729)
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
+class Record:
+    """Base of the immutable value records.  ``__init__`` validates and then
+    writes the fields, named in ``_fields``, straight into ``__dict__``;
+    after that no attribute can be set or deleted.  Each record writes its
+    own ``__eq__`` and ``__hash__`` over the fields (a generic key is slower
+    to hash and compare)."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CertifiedValue(Record):
     """An interval result together with its truncation certificate.
 
     ``value`` encloses the quantity actually summed/computed;
@@ -288,15 +307,24 @@ class CertifiedValue:
     in is documented per producing operation.
     """
 
-    value: Interval
-    truncation_level: int
-    tail_bound: float
+    _fields = ("value", "truncation_level", "tail_bound")
 
-    def __post_init__(self):
-        if self.truncation_level < 0:
+    def __init__(self, value: Interval, truncation_level: int, tail_bound: float):
+        if truncation_level < 0:
             raise ValueError("truncation_level must be nonnegative")
-        if not (self.tail_bound >= 0.0):
+        if not (tail_bound >= 0.0):
             raise ValueError("tail_bound must be a nonnegative float")
+        self.__dict__.update(
+            value=value, truncation_level=truncation_level, tail_bound=tail_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.truncation_level, self.tail_bound) == (
+            other.value, other.truncation_level, other.tail_bound)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.truncation_level, self.tail_bound))
 
     def enclosure(self, symmetric: bool = False) -> Interval:
         """The interval with the tail bound folded in.

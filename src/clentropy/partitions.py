@@ -14,7 +14,7 @@ is exact for any n that fits in memory.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 Partition = tuple[int, ...]
 

@@ -26,7 +26,6 @@ check of the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RefusalError
@@ -44,6 +43,7 @@ from .numerics import (
     ZERO,
     CertifiedValue,
     Interval,
+    Record,
     iv_add,
     iv_div,
     iv_exp,
@@ -59,28 +59,32 @@ from .numerics import (
 )
 
 
-@dataclass(frozen=True)
-class ZetaParams:
+class ZetaParams(Record):
     """A prime p, a level k (positive int, or None for the limit), and a
     real evaluation point s > -1."""
 
-    p: int
-    k: int | None
-    s: float
+    _fields = ("p", "k", "s")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        k = self.k
+    def __init__(self, p: int, k: int | None, s: float):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
             raise ValueError(f"level must be a positive integer or None, got {k!r}")
-        s = self.s
         if isinstance(s, bool) or not isinstance(s, (int, float)):
             raise ValueError(f"evaluation point must be real, got {s!r}")
         if not math.isfinite(s) or not s > -1:
             raise ValueError(f"evaluation point must be finite and > -1, got {s!r}")
         if isinstance(s, float) and s.is_integer():
-            object.__setattr__(self, "s", int(s))
+            s = int(s)
+        self.__dict__.update(p=p, k=k, s=s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.k, self.s) == (other.p, other.k, other.s)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.k, self.s))
 
 
 def w_k_weight(A, k: int) -> Fraction:

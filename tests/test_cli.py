@@ -192,6 +192,34 @@ def test_usage_errors(capsys):
         assert "finite and > -1, got inf" in err, argv
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--u", ["entropy", "--p", "2", "--u", "-1e-05", "--eps", "1e-3"]),
+        ("--u", ["entropy", "--p", "2", "--u", "-0.5,-1e-05", "--eps", "1e-3"]),
+        ("--u1", ["kl", "--p", "2", "--u1", "-1e-05", "--u2", "0"]),
+        ("--u2", ["kl", "--p", "3", "--u1", "0", "--u2", "-2.5E-1"]),
+        ("--u", ["table", "--p", "2", "--u", "-1e-05", "--max-order-exponent", "2"]),
+        ("--s", ["zeta", "--p", "2", "--k", "3", "--s", "-1e-05"]),
+        ("--s", ["zeta", "--p", "5", "--k", "inf", "--s", "-.5", "--mode", "product"]),
+    ],
+    ids=["entropy", "entropy-list", "kl-u1", "kl-u2", "table", "zeta", "zeta-inf"],
+)
+def test_negative_unit_rank_is_read_as_the_value(flag, argv, capsys):
+    at = argv.index(flag)
+    joined = argv[:at] + [f"{flag}={argv[at + 1]}"] + argv[at + 2:]
+    code, out, _ = run_main(argv, capsys)
+    assert (code, out) == run_main(joined, capsys)[:2]
+    assert code == 0 and out
+
+
+def test_negative_unit_rank_out_of_range_names_the_bound(capsys):
+    err = run_main_expect_usage_error(["entropy", "--p", "2", "--u", "-1e5"], capsys)
+    assert "unit-rank must be finite and > -1, got -100000" in err
+    err = run_main_expect_usage_error(["kl", "--p", "2", "--u1", "0", "--u2", "-1.5e0"], capsys)
+    assert "unit-rank must be finite and > -1, got -1.5" in err
+
+
 def test_refusal_emits_single_record_and_exit_3(capsys):
     code, out, _ = run_main(["entropy", "--p", "2", "--u", "-0.99", "--eps", "1e-12"], capsys)
     assert code == 3
@@ -291,8 +319,8 @@ PRIMES_TO_97 = [q for q in range(2, cli.MAX_PRIME + 1) if all(q % d for d in ran
 @st.composite
 def advertised_requests(draw):
     """One request from the advertised box: p <= 97, -1 < u <= MAX_UNIT_RANK,
-    eps in [1e-12, 1e-1].  Unit-ranks go as --u=VALUE: argparse takes a
-    negative number with an exponent, such as -1e-05, for an option."""
+    eps in [1e-12, 1e-1].  Unit-ranks go as separate tokens, so a negative
+    one with an exponent, such as -1e-05, must still read as a value."""
     p = str(draw(st.sampled_from(PRIMES_TO_97)))
 
     def rank():
@@ -306,16 +334,16 @@ def advertised_requests(draw):
     command = draw(st.sampled_from(["entropy", "kl", "zeta", "table"]))
     if command == "entropy":
         eps = draw(st.floats(cli.EPS_MIN, cli.EPS_MAX))
-        return ["entropy", "--p", p, f"--u={rank()}", "--eps", repr(eps)]
+        return ["entropy", "--p", p, "--u", rank(), "--eps", repr(eps)]
     if command == "kl":
         mode = draw(st.sampled_from(["closed", "direct", "both"]))
-        return ["kl", "--p", p, f"--u1={rank()}", f"--u2={rank()}", "--mode", mode]
+        return ["kl", "--p", p, "--u1", rank(), "--u2", rank(), "--mode", mode]
     if command == "zeta":
         k = draw(st.sampled_from(["inf"] + [str(k) for k in range(1, 9)]))
         modes = ["product"] if k == "inf" else ["product", "sum", "derivative", "all"]
-        return ["zeta", "--p", p, "--k", k, f"--s={rank()}", "--mode", draw(st.sampled_from(modes))]
+        return ["zeta", "--p", p, "--k", k, "--s", rank(), "--mode", draw(st.sampled_from(modes))]
     exponent = str(draw(st.integers(0, 4)))
-    return ["table", "--p", p, f"--u={rank()}", "--max-order-exponent", exponent]
+    return ["table", "--p", p, "--u", rank(), "--max-order-exponent", exponent]
 
 
 @settings(max_examples=300, deadline=None)

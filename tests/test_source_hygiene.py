@@ -12,12 +12,14 @@ DP can be deleted without touching another module's code.  And
 ``measures.py``, for the Hall sums: the definition-route entropy closes
 its tail with Hall's level sum instead.  There is no
 linter in the toolchain, so this is the gate.  A name counts as used when
-it is loaded anywhere in the module or listed in ``__all__`` (the
-package's re-exports).
+it is loaded anywhere in the module or listed in a literal ``__all__``.
 
 numpy and mpmath are imported only inside the functions that need them:
 numpy alone costs tens of milliseconds, a large share of a cold CLI call
-that never touches it.
+that never touches it.  For the same reason no module imports
+``dataclasses`` (it loads ``inspect``, ``ast``, ``dis`` and ``tokenize``),
+importing the package loads no module until one of its names is read, and
+a CLI subcommand loads only the modules it runs.
 """
 
 import ast
@@ -60,7 +62,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= {elt.value for elt in node.value.elts}
@@ -193,15 +195,129 @@ def test_check_catches_eager_imports():
 
 
 def test_package_import_leaves_numpy_and_mpmath_unloaded():
-    probe = (
-        "import sys, clentropy\n"
-        "print(sorted(name for name in ('numpy', 'mpmath') if name in sys.modules))\n"
+    # the star import reads every name, so it loads every module
+    assert loaded_after("from clentropy import *", ("numpy", "mpmath")) == []
+
+
+def dataclass_imports(tree: ast.Module) -> list[str]:
+    """Imports of ``dataclasses``, at any depth."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert dataclass_imports(ast.parse(path.read_text())) == []
+
+
+def test_check_catches_dataclasses():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import dataclasses as dc\n"
+        "from .dataclasses import local\n"
+        "def f():\n"
+        "    import dataclasses\n"
+        "    return dataclasses\n"
     )
+    assert dataclass_imports(tree) == ["line 1", "line 2", "line 5"]
+
+
+def probe(statements: str, expression: str):
+    """The value of ``expression`` in a fresh interpreter (without ``site``)
+    after running ``statements``."""
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c",
+         f"import contextlib, io, sys\n{statements}\nprint(repr({expression}))\n"],
         cwd=SRC.parent,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+def loaded_after(statements: str, names: tuple[str, ...]) -> list[str]:
+    """Which of ``names`` are loaded after running ``statements``."""
+    return probe(statements, f"sorted(name for name in {names!r} if name in sys.modules)")
+
+
+def test_package_import_loads_no_module():
+    exported = tuple(f"clentropy.{path.stem}" for path in MODULES
+                     if path.stem not in ("__init__", "cli"))
+    assert loaded_after("import clentropy", exported) == []
+    # the first name read loads them all, outside the caller's later calls
+    assert loaded_after("import clentropy\nclentropy.Interval", exported) == sorted(exported)
+
+
+def test_cli_import_loads_no_subcommand_module():
+    heavy = ("dataclasses", "inspect", "csv", "typing", "clentropy.entropy", "clentropy.zeta")
+    assert loaded_after("import clentropy.cli", heavy) == []
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["entropy", "--p", "2", "--u", "1", "--eps", "1e-4"], "clentropy.zeta"),
+        (["kl", "--p", "2", "--u1", "0", "--u2", "1"], "clentropy.entropy"),
+        (["zeta", "--p", "3", "--k", "2", "--s", "0.5"], "clentropy.entropy"),
+        (["table", "--p", "2", "--u", "0", "--max-order-exponent", "3"], "clentropy.entropy"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else value,
+)
+def test_cli_subcommand_loads_only_its_modules(argv, absent):
+    run = (
+        "from clentropy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+    assert loaded_after(run, (absent, "csv", "dataclasses")) == []
+
+
+EXPORTS = """
+AbelianPGroup AutBoundReport CLParams CertifiedValue EntropyResult Interval
+IntervalDomainError RefusalError TailClosureError ZetaParams aut_order
+aut_order_block_formula aut_order_bruteforce aut_order_generating_tuples
+aut_order_parts auto_product_depth bound_series_tail check_aut_lower_bound
+check_decreasing_inequality check_reduced_inequality_rank1 cl_measure
+cross_entropy_direct dual_partition entropy entropy_by_definition
+entropy_upper_bound enumerate_partitions exceptional_margins group_order
+groups_of_order_exponent hall_sum_partial hall_tail_bounds is_partition
+is_prime iter_partitions iv_div iv_log iv_mul iv_point kl_closed kl_direct
+level_stats limit_derivative_identity n_lambda normalizing_constant
+partition_count pow_le scan_exceptions total_mass w_k_weight
+weighted_log_term zeta_log_derivative zeta_product zeta_sum
+""".split()
+
+
+def test_package_namespace_resolves_every_export():
+    import clentropy
+
+    assert clentropy.__all__ == EXPORTS
+    star = {}
+    exec("from clentropy import *", star)
+    for name in clentropy.__all__:
+        obj = getattr(clentropy, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("clentropy.") and vars(home)[name] is obj, name
+        assert star[name] is obj, name
+    assert set(clentropy.__all__) <= set(dir(clentropy))
+    assert "__version__" in dir(clentropy)
+    with pytest.raises(AttributeError, match=r"^module 'clentropy' has no attribute 'nope'$"):
+        clentropy.nope
+
+
+def test_submodule_entropy_does_not_hide_the_function():
+    # The CLI loads clentropy.entropy before any package name is read.
+    loaded_first = (
+        "import clentropy.entropy\n"
+        "home = sys.modules['clentropy.entropy']\n"
+        "import clentropy\n"
+    )
+    assert probe(loaded_first, "clentropy.entropy is home.entropy") is True
+    assert probe(loaded_first, "clentropy.measures is sys.modules['clentropy.measures']") is True
