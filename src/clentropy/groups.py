@@ -16,11 +16,12 @@ Three independent cross-checks are provided:
 
 - the block-matrix formula of Hillar & Rhea (Amer. Math. Monthly 114,
   2007), whose derivation is unrelated to the partition formula above;
-- a literal brute force that enumerates every endomorphism and tests
-  injectivity on the p^r - 1 nonzero elements of the socle A[p] (a
-  nontrivial kernel meets A[p]).  Its budget counts #Hom(A,A) * #A, which
-  outgrows any budget quickly: (Z/2)^8 has 2^64 endomorphisms, so at order
-  <= 2^8 and <= 3^5 it reaches 64 of the 84 groups within 1.2e9;
+- a literal brute force that enumerates every endomorphism and accepts it
+  iff the socle images of its generator rows are linearly independent (a
+  nontrivial kernel meets the socle A[p]), by one table lookup per row.
+  Its refusal rule bounds #Hom(A,A) * #A, which outgrows any budget
+  quickly: (Z/2)^8 has 2^64 endomorphisms, so at order <= 2^8 and <= 3^5
+  it reaches 64 of the 84 groups within 1.2e9;
 - an exhaustive count of generating tuples of images by a DP over the
   subgroup generated so far.  It lists no endomorphism, so it reaches every
   group of order <= BRUTEFORCE_MAX_ORDER, all 84 of the groups above
@@ -39,8 +40,9 @@ from .numerics import Record
 from .partitions import Partition, dual_partition, is_partition
 
 BRUTEFORCE_MAX_ORDER = 256
-# Elementary numpy operations we are willing to spend per brute-force call
-# (#endomorphisms * #elements).  Beyond this the oracle refuses.
+# The brute-force oracle refuses when #endomorphisms * #elements exceeds
+# this: a kept refusal contract, not a cost model (a call costs about one
+# table lookup per endomorphism).
 BRUTEFORCE_WORK_BUDGET = 150_000_000
 
 
@@ -151,10 +153,6 @@ def group_order(a: AbelianPGroup) -> int:
     return a.order
 
 
-def rank(a: AbelianPGroup) -> int:
-    return a.rank
-
-
 def aut_order(a: AbelianPGroup) -> int:
     return a.aut_order
 
@@ -193,23 +191,63 @@ def bruteforce_hom_count(a: AbelianPGroup) -> int:
     return a.p**exponent
 
 
+def span_table(p: int, r: int, codes):
+    """T[s, w] = the state of span(s, w), over the subspaces s of F_p^r.
+
+    A vector is a code below p^r, its base-p digits (most significant
+    first) its coordinates.  State 1 is {0}; state 0 absorbs ("dependent"):
+    T[s, w] = 0 iff s = 0 or w lies in s.  Only the subspaces reached from
+    {0} by adding ``codes`` get a state; other columns are 0.  A span is
+    keyed by the bitmask of its elements, and fills T[s, w'] for every w'
+    it adds to s, since each of them spans it.
+    """
+    import numpy as np
+
+    digits = np.indices((p,) * r).reshape(r, -1)
+    add = np.tensordot(p ** np.arange(r - 1, -1, -1),
+                       (digits[:, :, None] + digits[:, None, :]) % p, 1).tolist()
+    codes = sorted(set(codes))
+    state_of = {1: 1}  # bitmask of a span -> its state; 1 is {0}
+    members = [[], [0]]
+    table = [[0] * p**r]
+    while len(table) < len(members):
+        here = members[len(table)]
+        inside = set(here)
+        row = [0] * p**r
+        for w in codes:
+            if row[w] or w in inside:
+                continue
+            spanned, multiple = list(here), w
+            for _ in range(p - 1):  # the cosets c*w + s, 0 < c < p
+                spanned += [add[multiple][x] for x in here]
+                multiple = add[multiple][w]
+            state = state_of.setdefault(sum(1 << x for x in spanned), len(members))
+            if state == len(members):
+                members.append(spanned)
+            for x in spanned[len(here):]:
+                row[x] = state
+        table.append(row)
+    return np.array(table, dtype=np.int32)
+
+
 def aut_order_bruteforce(a: AbelianPGroup, work_budget: int = BRUTEFORCE_WORK_BUDGET) -> int:
     """Count automorphisms by exhaustive endomorphism enumeration.
 
     Endomorphisms are r x r generator-image matrices; entry (i, j) ranges
-    over the multiples of p^max(0, e_j - e_i) modulo p^{e_j}.  Every one of
-    them is enumerated and applied, by the group law, to the p^r - 1 nonzero
-    elements of the socle A[p] = {sum_j c_j p^(e_j - 1) x_j : 0 <= c_j < p}.
-    A candidate is accepted iff no such element maps to zero: a nontrivial
-    kernel is a nontrivial p-group and so meets A[p], and an injective
-    self-map of a finite set is bijective.
+    over the multiples of p^max(0, e_j - e_i) modulo p^{e_j}.  Each is
+    enumerated and decided on its own by its socle rows w_i =
+    p^(e_i - 1) phi(x_i) in A[p] = F_p^r, digit j (p^(e_i - 1) entry_ij mod
+    p^e_j) / p^(e_j - 1).  The socle element sum_i c_i p^(e_i - 1) x_i maps
+    to sum_i c_i w_i, and a nontrivial kernel meets A[p], so phi is
+    bijective iff w_1..w_r are linearly independent.  Candidates are the
+    Cartesian product of the admissible rows, each listed once with its
+    code, walked with one ``span_table`` lookup per row; a candidate counts
+    iff its final state is not "dependent".
 
     Refuses when the order exceeds BRUTEFORCE_MAX_ORDER or when
-    #Hom * #A, the work of a check on every element, exceeds
-    ``work_budget``.  The budget keeps that unit although only p^r - 1
-    elements are evaluated, so which groups it refuses does not depend on
-    their socle (already #Aut((Z/2)^8) ~ 5e18 exceeds any conceivable
-    budget).
+    #Hom * #A exceeds ``work_budget``: a kept refusal contract, not a cost
+    model (the work is about #Hom lookups), so which groups are refused
+    does not depend on their socle.  #Hom((Z/2)^8) = 2^64 is out of reach.
     """
     import numpy as np
 
@@ -221,74 +259,35 @@ def aut_order_bruteforce(a: AbelianPGroup, work_budget: int = BRUTEFORCE_WORK_BU
     if a.is_trivial():
         return 1
     p = a.p
-    exps = list(a.lambda_prime)
-    r = len(exps)
-    mods = [p**e for e in exps]
-    order = a.order
+    exps = a.lambda_prime
     hom_count = bruteforce_hom_count(a)
-    if hom_count * order > work_budget:
+    if hom_count * a.order > work_budget:
         raise RefusalError(
             f"brute-force automorphism count refused: {hom_count} endomorphisms "
-            f"x {order} elements exceeds the work budget {work_budget}"
+            f"x {a.order} elements exceeds the work budget {work_budget}"
         )
+    # Row i in mixed radix over j, entry (i, j) = p^max(0, e_j - e_i) * t
+    # with t < p^min(e_i, e_j), recorded as its socle code w_i.
+    rows = []
+    for ei in exps:
+        codes = [0]
+        for ej in exps:
+            digits = [p ** (ei - 1) * p ** max(0, ej - ei) * t % p**ej // p ** (ej - 1)
+                      for t in range(p ** min(ei, ej))]
+            codes = [c * p + d for c in codes for d in digits]
+        rows.append(codes)
+    table = span_table(p, len(exps), {w for codes in rows for w in codes})
+    rows = [np.array(codes) for codes in rows]
+    chunk = 1 << 18  # states per gather (1 MB); depth first, one held per row
 
-    # Nonzero socle elements as coordinate rows, and an injective encoding
-    # of reduced images (only the zero element has code 0).
-    digits = np.indices((p,) * r).reshape(r, -1).T[1:]
-    socle = (digits * np.array([p ** (e - 1) for e in exps])).astype(np.float32)
-    n = len(socle)  # p^r - 1
-    enc_weights = np.empty(r, dtype=np.float32)
-    acc = 1
-    for j in range(r - 1, -1, -1):
-        enc_weights[j] = acc
-        acc *= mods[j]
+    def accepted(states, k):
+        if k == len(rows):
+            return int(np.count_nonzero(states))
+        step = max(1, chunk // len(rows[k]))
+        return sum(accepted(table[states[lo:lo + step, None], rows[k][None, :]].ravel(), k + 1)
+                   for lo in range(0, len(states), step))
 
-    # Entry (i, j) = step_ij * t with t < p^min(e_i, e_j).
-    steps = np.array(
-        [[p ** max(0, exps[j] - exps[i]) for j in range(r)] for i in range(r)],
-        dtype=np.int64,
-    )
-    radii = np.array(
-        [[p ** min(exps[i], exps[j]) for j in range(r)] for i in range(r)],
-        dtype=np.int64,
-    ).ravel()
-    mods_col = np.array(mods, dtype=np.float32)[None, :, None]
-
-    # Images are computed through float32 matrix products so the heavy inner
-    # loop runs in BLAS; every intermediate is an exact small integer
-    # (at most r * 255^2 < 2^24, within float32's exact range), so nothing
-    # is lost to rounding.  Reduction mod m takes floor(y / m): y / m is
-    # correctly rounded, and with y + m <= 2^24 it cannot round up to the
-    # next integer, so floor(y / m) * m and y - floor(y / m) * m are exact.
-    assert r * (max(mods) - 1) ** 2 + max(mods) <= 1 << 24
-    # Bytes held per candidate: the int64 index and divmod temporaries, the
-    # int64 entries and their scaled copy (r^2 each), the float32 matrix and
-    # its transposed copy, then images and quotients (n * r each) and codes.
-    per_candidate = 24 + 24 * r * r + 8 * n * r + 5 * n
-    chunk = max(1, min(hom_count, (1 << 22) // per_candidate))
-    count = 0
-    start = 0
-    while start < hom_count:
-        stop = min(start + chunk, hom_count)
-        b = stop - start
-        rem = np.arange(start, stop, dtype=np.int64)
-        # Mixed-radix decode of the endomorphism index into matrix entries.
-        entries = np.empty((b, r * r), dtype=np.int64)
-        for pos in range(r * r - 1, -1, -1):
-            rem, entries[:, pos] = np.divmod(rem, radii[pos])
-        mats = (entries.reshape(b, r, r) * steps[None, :, :]).astype(np.float32)
-        # one product per chunk: (n, r) @ (r, r*b), column j*b + k holding
-        # coordinate j of candidate k, so each reduction runs along b
-        stacked = mats.transpose(1, 2, 0).reshape(r, r * b)
-        images = (socle @ stacked).reshape(n, r, b)
-        quotients = images / mods_col
-        np.floor(quotients, out=quotients)
-        quotients *= mods_col
-        images -= quotients
-        codes = enc_weights @ images  # (n, b): socle element -> image code
-        count += int(np.count_nonzero(codes.all(axis=0)))
-        start = stop
-    return count
+    return accepted(np.ones(1, dtype=np.int32), 0)
 
 
 def aut_order_generating_tuples(a: AbelianPGroup) -> int:

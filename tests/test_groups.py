@@ -27,6 +27,7 @@ from clentropy.groups import (
     BRUTEFORCE_MAX_ORDER,
     aut_exponent_forms,
     bruteforce_hom_count,
+    span_table,
 )
 
 # ------------------------------------------------------------------ primality
@@ -216,8 +217,56 @@ def test_bruteforce_uses_no_closed_form(monkeypatch):
         (2, (2, 1, 1), 192),
         (2, (3, 2, 1), 2048),
         (3, (1, 1, 1), 11232),
+        # proper socles, at p = 3 and at rank 3 (Macdonald's formula)
+        (3, (2, 1, 1), 23328),
+        (2, (3, 2, 2), 98304),
     ]:
         assert aut_order_bruteforce(AbelianPGroup(p, lam)) == expected
+
+
+# Number of subspaces of F_p^r, {0} and the whole space included (sums of
+# Gaussian binomials).
+SUBSPACE_COUNTS = [
+    (2, 1, 2), (2, 2, 5), (2, 3, 16), (2, 4, 67), (2, 5, 374),
+    (3, 1, 2), (3, 2, 6), (3, 3, 28),
+    (5, 2, 8),
+]
+
+
+@pytest.mark.parametrize("p, r, subspaces", SUBSPACE_COUNTS)
+def test_span_table_reaches_every_subspace_once(p, r, subspaces):
+    vectors = list(itertools.product(range(p), repeat=r))  # code -> digits
+    code = {v: i for i, v in enumerate(vectors)}
+
+    def span(members, w):
+        return frozenset(
+            code[tuple((x + c * y) % p for x, y in zip(vectors[m], vectors[w]))]
+            for m in members
+            for c in range(p)
+        )
+
+    table = span_table(p, r, range(p**r))
+    assert table.shape == (1 + subspaces, p**r)
+    assert not table[0].any()  # "dependent" absorbs
+    # states are numbered as found, so each is met from a lower one first
+    members = {1: frozenset([0])}
+    for s in range(1, len(table)):
+        for w in range(p**r):
+            t = int(table[s, w])
+            assert (t == 0) == (w in members[s]), (s, w)
+            if t:
+                spanned = span(members[s], w)
+                assert members.setdefault(t, spanned) == spanned, (s, w)
+    assert len(members) == subspaces
+    assert len(set(members.values())) == subspaces
+
+
+def test_span_table_reaches_only_spans_of_the_given_codes():
+    # in F_2^3, codes 1 and 2 span {0}, <1>, <2> and <1, 2>; column 4 is unused
+    table = span_table(2, 3, [1, 2])
+    assert table.shape == (5, 8)
+    assert not table[:, 4].any()
+    assert sorted({int(table[1, 1]), int(table[1, 2]), int(table[table[1, 1], 2])}) == [2, 3, 4]
 
 
 def test_bruteforce_refuses_oversized_order():

@@ -10,7 +10,10 @@ and re-exported by ``__init__.py``: every series is summed by rank, so the
 DP can be deleted without touching another module's code.  And
 ``bound_series_tail`` (the partition-count strip tail) is read only by
 ``measures.py``, for the Hall sums: the definition-route entropy closes
-its tail with Hall's level sum instead.  There is no
+its tail with Hall's level sum instead.  The two exhaustive automorphism
+counts in ``groups.py`` stay independent routes: of the module's names,
+they share only the refusal (``RefusalError``, ``BRUTEFORCE_MAX_ORDER``),
+counting the names the module's own functions they call read.  There is no
 linter in the toolchain, so this is the gate.  A name counts as used when
 it is loaded anywhere in the module or listed in a literal ``__all__``.
 
@@ -36,6 +39,8 @@ ENUMERATION_ALLOWED = {"partitions.py", "measures.py", "__init__.py"}
 # measures.py defines them, __init__ re-exports
 LEVEL_STATS_ALLOWED = {"measures.py", "__init__.py"}
 STRIP_TAIL_ALLOWED = {"measures.py", "__init__.py"}
+EXHAUSTIVE_ROUTES = ("aut_order_bruteforce", "aut_order_generating_tuples")
+ROUTES_MAY_SHARE = {"RefusalError", "BRUTEFORCE_MAX_ORDER"}
 HEAVY_IMPORTS = {"numpy", "mpmath"}
 
 
@@ -78,6 +83,50 @@ def name_reads(tree: ast.Module, name: str) -> list[str]:
             and any(alias.name == name for alias in node.names))
         or (isinstance(node, ast.Attribute) and node.attr == name)
     ]
+
+
+def module_names_read(tree: ast.Module, function: str) -> set[str]:
+    """Module-level names the function reads, and transitively those read
+    by the module-level functions it reads.  Annotations are not evaluated
+    (``from __future__ import annotations``), so they are not reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update((a.asname or a.name.split(".")[0], None) for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((n.id, None) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+    found, pending = set(), [function]
+    while pending:
+        loaded, local, nodes = set(), set(), [defined[pending.pop()]]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.Name):
+                (loaded if isinstance(node.ctx, ast.Load) else local).add(node.id)
+            elif isinstance(node, ast.arg):
+                local.add(node.arg)
+            elif isinstance(node, ast.alias):
+                local.add(node.asname or node.name.split(".")[0])
+            elif isinstance(node, ast.FunctionDef):
+                local.add(node.name)
+            for field, value in ast.iter_fields(node):
+                if field not in ("annotation", "returns"):
+                    values = value if isinstance(value, list) else [value]
+                    nodes += [child for child in values if isinstance(child, ast.AST)]
+        new = {name for name in loaded - local if name in defined} - found
+        found |= new
+        pending += [name for name in new if isinstance(defined[name], ast.FunctionDef)]
+    return found
+
+
+def shared_route_names(tree: ast.Module) -> set[str]:
+    """Module-level names both exhaustive automorphism routes read, beyond
+    the refusal they may share."""
+    first, second = (module_names_read(tree, name) for name in EXHAUSTIVE_ROUTES)
+    return (first & second) - ROUTES_MAY_SHARE
 
 
 def eager_imports(tree: ast.Module) -> list[str]:
@@ -173,6 +222,40 @@ def test_check_catches_partition_enumeration():
         "    return measures.bound_series_tail(p, 1, N, coeffs, scale)\n"
     )
     assert name_reads(tree, "bound_series_tail") == ["line 1", "line 7"]
+
+
+def test_exhaustive_automorphism_routes_share_only_the_refusal():
+    tree = ast.parse((SRC / "groups.py").read_text())
+    # the guard sees through the helpers each route calls
+    assert {"bruteforce_hom_count", "span_table"} <= module_names_read(tree, EXHAUSTIVE_ROUTES[0])
+    assert ROUTES_MAY_SHARE <= module_names_read(tree, EXHAUSTIVE_ROUTES[1])
+    assert shared_route_names(tree) == set()
+
+
+def test_check_catches_shared_route_helpers():
+    tree = ast.parse(
+        "from .errors import RefusalError\n"
+        "from .partitions import Partition\n"
+        "BRUTEFORCE_MAX_ORDER = 256\n"
+        "LEVELS = 3\n"
+        "def closure(a, levels=LEVELS):\n"
+        "    return a\n"
+        "def helper(a):\n"
+        "    return closure(a)\n"
+        "def aut_order_bruteforce(a: Partition) -> int:\n"
+        "    if a > BRUTEFORCE_MAX_ORDER:\n"
+        "        raise RefusalError('too big')\n"
+        "    return helper(a)\n"
+        "def aut_order_generating_tuples(a: Partition, helper=None) -> int:\n"
+        "    if a > BRUTEFORCE_MAX_ORDER:\n"
+        "        raise RefusalError('too big')\n"
+        "    return closure(a) + (helper or 0)\n"
+    )
+    # a shared helper reached through another, and the constant it reads;
+    # annotations and a parameter shadowing a module name do not count
+    assert module_names_read(tree, "aut_order_generating_tuples") == {
+        "BRUTEFORCE_MAX_ORDER", "RefusalError", "closure", "LEVELS"}
+    assert shared_route_names(tree) == {"closure", "LEVELS"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
