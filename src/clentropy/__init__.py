@@ -20,8 +20,8 @@ _EXPORTS = {
         "check_decreasing_inequality",
         "check_reduced_inequality_rank1",
         "entropy",
+        "entropy_bounds",
         "entropy_by_definition",
-        "entropy_upper_bound",
         "exceptional_margins",
         "scan_exceptions",
         "weighted_log_term",
@@ -30,13 +30,11 @@ _EXPORTS = {
     "groups": (
         "AbelianPGroup",
         "AutBoundReport",
-        "aut_order",
         "aut_order_block_formula",
         "aut_order_bruteforce",
         "aut_order_generating_tuples",
         "aut_order_parts",
         "check_aut_lower_bound",
-        "group_order",
         "groups_of_order_exponent",
         "is_prime",
         "pow_le",

@@ -20,7 +20,8 @@ sum_{|A|=p^n} 1/#Aut A = p^-n / eta_n (Macdonald ch. II) is at most
 p^-n / F_0, since eta_n >= eta_inf = F_0.  The sum is a geometric series
 times a quadratic, closed exactly, so it converges for every u > -1.  The
 route's partial sum lists partitions and only its tail reads Hall's closed
-form; the rank chain reads neither.
+form; the rank chain reads neither.  A third route, ``entropy_bounds``,
+brackets H between closed series and reads neither the chain nor a listing.
 
 The family is strictly entropy-decreasing in integral u.  The engine of
 that fact is the per-term inequality
@@ -35,8 +36,6 @@ that the entropy differences survive the exceptions with room to spare.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import RefusalError
 from .groups import AbelianPGroup, is_prime, pow_le
 from .measures import (
@@ -44,8 +43,6 @@ from .measures import (
     RankChain,
     auto_product_depth,
     check_enumeration_budget,
-    hall_sum_partial,
-    hall_tail_bounds,
     level_stats_by_enumeration,
     normalizing_constant,
     pow_p_minus,
@@ -60,9 +57,9 @@ from .numerics import (
     iv_add,
     iv_div,
     iv_exp,
-    iv_from_fraction,
     iv_from_int,
     iv_log,
+    iv_log1p,
     iv_log_int,
     iv_mul,
     iv_mul_scalar,
@@ -72,6 +69,10 @@ from .numerics import (
     iv_sub,
 )
 from .partitions import Partition, enumerate_partitions
+
+# Levels of the order entropy, and terms of each closed series, that
+# ``entropy_bounds`` sums; past them each series closes geometrically.
+BOUNDS_DEPTH = 64
 
 
 class EntropyResult(Record):
@@ -182,58 +183,65 @@ def entropy_by_definition(params: CLParams, N: int) -> CertifiedValue:
     return CertifiedValue(iv_add(iv_mul(F, acc), tail), N, 0.0)
 
 
-def entropy_upper_bound(params: CLParams, N: int = 30, K: int = 48) -> Interval:
-    """Certified evaluation of the closed upper bound on H(nu) for u >= 2:
+def entropy_bounds(params: CLParams) -> Interval:
+    """Certified [H(n), B(u)] around H(nu), from closed series alone.
 
-        H <= sum_{k>=1} 1/(k (p^k - 1) p^{ku})
-             + (u F_u / p^{u-1}) sum_{A != 1} 1/#Aut A
-             + (F_u / p^{u-1}) sum_{A != 1} 1/#A.
+    A third entropy route, kept as a check: it reads neither the rank chain
+    nor any listed partition.  Write n = log_p #A, L = log p and
+    x_i = p^-(u+i), so F_u = prod_{i>=1} (1 - x_i).  Hall's law
+    P(n) = F_u p^(-(u+1) n) / eta_n, eta_n = prod_{i<=n} (1 - p^-i), has
+    generating function prod_i (1 - x_i)/(1 - x_i t) (Euler), so n is a sum
+    of independent geometric variables: E[n] = sum_i x_i/(1 - x_i) and
+    Var[n] = sum_i x_i/(1 - x_i)^2.
 
-    The first series is -log F_u re-summed over k; the two Hall-type sums
-    are evaluated as exact partials to level N plus certified tails.  The
-    bound tends to 0 as u grows, which pins down the entropy limit.
+    * Lower end.  n is a function of A, so H(nu) >= H(n) = sum_n
+      P(n) (-log P(n)).  Every term is >= 0, so the levels n <= BOUNDS_DEPTH
+      up to the first whose P(n) underflows bound it from below.  -log P(n)
+      is formed as -log F_u + (u+1) n L + log eta_n, keeping the relative
+      accuracy that log of P(n) would lose as P(n) nears 1.
+    * Upper end.  -log nu(A) = -log F_u + u n L + log #Aut A and
+      #Aut A <= #End A = p^(sum_{i,j} min(lambda_i, lambda_j)) <= p^(n^2),
+      so H(nu) <= B(u) = -log F_u + u L E[n] + L (Var[n] + E[n]^2).
+    * Tails.  -log F_u, E[n] and Var[n] sum a(x_i) for a(x) = -log(1 - x),
+      x/(1 - x) and x/(1 - x)^2: power series with nonnegative coefficients
+      and no constant term, so a(x/p) <= a(x)/p.  As x_{i+1} = x_i/p, the
+      terms past i = D = BOUNDS_DEPTH sum to at most a(x_{D+1}) p/(p - 1)
+      <= 2 a(x_{D+1}).
+
+    -log F_u is summed through log1p, so both ends keep relative accuracy
+    at large u.  Refuses, as ``normalizing_constant`` does, a unit-rank
+    within rounding of -1.
     """
-    u = params.u
-    if isinstance(u, (int, float)) and u < 2:
-        raise RefusalError(f"the closed entropy bound requires u >= 2, got {u}")
-    p = params.p
+    p, u = params.p, params.u
     F = normalizing_constant(params)
-
-    first = ZERO
-    for k in range(1, K + 1):
+    L = iv_log_int(p)
+    u_iv = iv_from_int(u) if params.integral else iv_point(u)
+    mlf = mean = var = ZERO  # -log F_u, E[n], Var[n]
+    for i in range(1, BOUNDS_DEPTH + 2):
+        # x as partial_product forms it, so F's refusal covers 1 - x here too
         if params.integral:
-            first = iv_add(
-                first, iv_from_fraction(Fraction(1, k * (p**k - 1) * p ** (k * u)))
-            )
+            x = iv_recip_int(p ** (u + i))
         else:
-            L = iv_log_int(p)
-            denom = iv_mul(
-                iv_sub(iv_exp(iv_mul_scalar(L, float(k))), ONE),
-                iv_exp(iv_mul(iv_point(u), iv_mul_scalar(L, float(k)))),
-            )
-            first = iv_add(first, iv_div(iv_recip_int(k), denom))
-    # sum_{k>K} 1/(k (p^k-1) p^{ku}) <= p^{-(K+1)(u+1)} /
-    #   ((K+1)(1-p^{-(K+1)})(1-p^{-(u+1)})), three geometric-friendly factors
-    rate = params.rate
-    head = pow_p_minus(p, rate, K + 1)
-    denom = iv_mul(
-        iv_mul_scalar(iv_sub(ONE, iv_recip_int(p ** (K + 1))), float(K + 1)),
-        iv_sub(ONE, pow_p_minus(p, rate, 1)),
-    )
-    first = iv_add(first, Interval(0.0, iv_div(head, denom).hi))
+            x = iv_exp(iv_neg(iv_mul(iv_add(u_iv, iv_from_int(i)), L)))
+        odds = iv_div(x, iv_sub(ONE, x))
+        terms = (iv_neg(iv_log1p(iv_neg(x))), odds, iv_div(odds, iv_sub(ONE, x)))
+        if i > BOUNDS_DEPTH:
+            terms = tuple(Interval(0.0, iv_mul_scalar(t, 2.0).hi) for t in terms)
+        mlf, mean, var = (iv_add(s, t) for s, t in zip((mlf, mean, var), terms))
+    upper = iv_add(iv_add(mlf, iv_mul(iv_mul(u_iv, L), mean)),
+                   iv_mul(L, iv_add(var, iv_mul(mean, mean))))
 
-    s_aut, s_ord = hall_sum_partial(p, N)
-    aut_tail, ord_tail = hall_tail_bounds(p, N)
-    sum_aut = iv_add(iv_from_fraction(s_aut - 1), Interval(0.0, aut_tail.hi))
-    sum_ord = iv_add(iv_from_fraction(s_ord - 1), Interval(0.0, ord_tail.hi))
-
-    if params.integral:
-        over_p = iv_recip_int(p ** (u - 1))
-    else:
-        over_p = iv_exp(iv_neg(iv_mul(iv_point(u - 1), iv_log_int(p))))
-    u_factor = iv_mul_scalar(iv_mul(F, over_p), float(u))
-    one_factor = iv_mul(F, over_p)
-    return iv_add(first, iv_add(iv_mul(u_factor, sum_aut), iv_mul(one_factor, sum_ord)))
+    step, z = iv_mul(iv_add(u_iv, ONE), L), pow_p_minus(p, params.rate, 1)
+    P, log_eta, lower = F, ZERO, iv_mul(F, mlf)
+    for n in range(1, BOUNDS_DEPTH + 1):
+        q = iv_recip_int(p**n)
+        P = iv_div(iv_mul(P, z), iv_sub(ONE, q))
+        if not P.lo > 0.0:
+            break
+        log_eta = iv_add(log_eta, iv_log1p(iv_neg(q)))
+        minus_log_P = iv_add(iv_add(mlf, iv_mul_scalar(step, float(n))), log_eta)
+        lower = iv_add(lower, iv_mul(P, minus_log_P))
+    return Interval(max(lower.lo, 0.0), upper.hi)  # entropy is nonnegative
 
 
 def check_decreasing_inequality(p: int, u: int, A: AbelianPGroup) -> bool:

@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 from .errors import RefusalError
 from .numerics import Record
-from .partitions import Partition, dual_partition, is_partition
+from .partitions import Partition, is_partition
 
 BRUTEFORCE_MAX_ORDER = 256
 # The brute-force oracle refuses when #endomorphisms * #elements exceeds
@@ -142,19 +142,8 @@ class AbelianPGroup(Record):
     def aut_order(self) -> int:
         return aut_order_parts(self.p, self.lambda_prime)
 
-    def dual_type(self) -> Partition:
-        return dual_partition(self.lambda_prime)
-
     def is_trivial(self) -> bool:
         return not self.lambda_prime
-
-
-def group_order(a: AbelianPGroup) -> int:
-    return a.order
-
-
-def aut_order(a: AbelianPGroup) -> int:
-    return a.aut_order
 
 
 def aut_order_block_formula(a: AbelianPGroup) -> int:

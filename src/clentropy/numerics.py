@@ -8,9 +8,10 @@ is up to two ulps of width per operation, which the callers' error budgets
 absorb easily; the benefit is that containment never depends on platform
 rounding-mode trickery.
 
-``log`` and ``exp`` go through libm, whose worst observed error on the
-platforms we target is about one ulp; their endpoints are widened by two ulps
-to be safe.  Integer-valued helpers (``iv_from_int``, ``iv_log_int``,
+``log``, ``log1p`` and ``exp`` go through libm, whose worst observed error
+on the platforms we target is about one ulp; their endpoints are widened by
+two ulps to be safe.  That is an assumption about libm, not a proof: the
+tests hold it against 50-digit mpmath.  Integer-valued helpers (``iv_from_int``, ``iv_log_int``,
 ``iv_recip_int``) accept arbitrary-precision integers, so callers can feed
 exact group orders and automorphism counts of thousands of bits straight in.
 
@@ -157,6 +158,15 @@ def iv_log(a: Interval) -> Interval:
         raise IntervalDomainError(f"log of interval touching (-inf, 0]: {a!r}")
     # libm log is good to ~1 ulp; widen two to be safe.
     return Interval._make(_down(_down(math.log(a.lo))), _up(_up(math.log(a.hi))))
+
+
+def iv_log1p(a: Interval) -> Interval:
+    """Enclosure of log(1 + x), accurate near x = 0 where ``iv_log`` of
+    1 + x is not; log(1 + x) <= x caps the upper end at a.hi."""
+    if a.lo <= -1.0:
+        raise IntervalDomainError(f"log1p of interval touching (-inf, -1]: {a!r}")
+    return Interval._make(_down(_down(math.log1p(a.lo))),
+                          min(_up(_up(math.log1p(a.hi))), a.hi))
 
 
 def iv_exp(a: Interval) -> Interval:

@@ -207,10 +207,7 @@ def kl_closed(p: int, u1, u2, tol: float = 1e-9) -> CertifiedValue:
     F2 = normalizing_constant(params2, J)
     c = iv_sub(iv_log(F1), iv_log(F2))
 
-    L = math.log(p)
-    I = 8
-    while L * p ** (-(params1.u + I)) / (p - 1) >= tol / 4 and I < 4096:
-        I += 1
+    I = auto_product_depth(p, params1.u, tol / math.log(p))
     series = _reciprocal_power_sum(p, params1.u, I)
     delta = iv_sub(iv_point(float(params2.u)), iv_point(float(params1.u)))
     value = iv_add(c, iv_mul(delta, series))
@@ -254,10 +251,7 @@ def limit_derivative_identity(p: int, u1, tol: float, k_max: int = 200) -> bool:
         raise ValueError("tol must be positive")
     params = CLParams(p, u1)
     F = normalizing_constant(params)
-    L = math.log(p)
-    I = 8
-    while L * p ** (-(params.u + I)) / (p - 1) >= tol / 20 and I < 4096:
-        I += 1
+    I = auto_product_depth(p, params.u, tol / (5 * math.log(p)))
     rhs = iv_mul(iv_div(ONE, F), _reciprocal_power_sum(p, params.u, I))
     target = rhs.widened(tol)
     for k in range(1, k_max + 1):

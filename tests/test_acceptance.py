@@ -28,7 +28,7 @@ from clentropy import (
     ZetaParams,
     check_aut_lower_bound,
     entropy,
-    entropy_upper_bound,
+    entropy_bounds,
     enumerate_partitions,
     exceptional_margins,
     hall_sum_partial,
@@ -93,12 +93,12 @@ def test_c03_entropy_strictly_decreasing():
 
 def test_c04_entropy_vanishes_at_large_u():
     t = time.perf_counter()
-    bound = entropy_upper_bound(CLParams(2, 10))
+    bound = entropy_bounds(CLParams(2, 10))
     deep = entropy(CLParams(2, 30), eps=1e-6).H.value
     ok = bound.hi < 0.06 and deep.hi < 1e-6
     report(
         "c04", ok,
-        f"closed bound at u=10: {bound.hi:.6f} < 0.06; H(2,30).hi = {deep.hi:.3g} < 1e-6",
+        f"closed upper end at u=10: {bound.hi:.6f} < 0.06; H(2,30).hi = {deep.hi:.3g} < 1e-6",
         t,
     )
     assert bound.hi < 0.06

@@ -1,9 +1,12 @@
-"""Shannon entropy of the measures: two routes, monotonicity, margins."""
+"""Shannon entropy of the measures: three routes, monotonicity, margins."""
 
 import importlib
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clentropy import (
     AbelianPGroup,
@@ -12,8 +15,8 @@ from clentropy import (
     check_decreasing_inequality,
     check_reduced_inequality_rank1,
     entropy,
+    entropy_bounds,
     entropy_by_definition,
-    entropy_upper_bound,
     exceptional_margins,
     is_prime,
     iv_div,
@@ -24,6 +27,7 @@ from clentropy import (
     weighted_log_term,
 )
 from clentropy import aut_order_parts, bound_series_tail, iter_partitions, partition_count
+from clentropy import cli
 from clentropy.measures import check_enumeration_budget, level_stats_by_enumeration, pow_p_minus
 from clentropy.numerics import iv_from_int, iv_log_int, iv_point, iv_recip_int
 
@@ -355,29 +359,105 @@ def test_exceptional_margins_requires_both_primes():
         exceptional_margins(p_set=(2,))
 
 
-# ----------------------------------------------------------- closed bound
+# ------------------------------------------------------------ closed sandwich
+# entropy_bounds is a third route, [H(n), B(u)] from closed series.  Meeting
+# the other routes is a mathematical check (different sums of the same law);
+# the 50-digit test below is the one rounding-only check.
+
+SANDWICH_PRIMES = (2, 3, 5, 7, 97)
+SANDWICH_RANKS = (-0.9, -0.5, 0, 0.5, 1, 2, 5, 10, 40)
+PRIMES_TO_97 = [q for q in range(2, cli.MAX_PRIME + 1) if is_prime(q)]
 
 
 def test_upper_bound_values():
-    at_10 = entropy_upper_bound(CLParams(2, 10))
-    assert at_10.hi < 0.06
-    assert at_10.lo > 0.05
-    at_20 = entropy_upper_bound(CLParams(2, 20))
-    assert at_20.hi < 1e-4
+    at_10 = entropy_bounds(CLParams(2, 10))
+    assert 0.0077 < at_10.lo and at_10.hi < 0.0085
+    assert entropy_bounds(CLParams(2, 20)).hi < 1e-4
+    assert entropy_bounds(CLParams(2, 30)).hi < 1e-6
+    # relative accuracy where the identity route answers [7.1e-21, 2.1e-15]
+    far = entropy_bounds(CLParams(97, 10))
+    assert 7.2e-21 < far.lo and far.hi < 7.25e-21
+
+
+def test_lower_end_certifies_positive_entropy():
+    for p in PRIMES_TO_97:
+        for u in (0, 1, 10, 40, 100):
+            assert entropy_bounds(CLParams(p, u)).lo > 0.0, (p, u)
 
 
 def test_upper_bound_dominates_certified_entropy():
     for p, u in [(2, 2), (2, 5), (3, 3)]:
-        bound = entropy_upper_bound(CLParams(p, u))
+        bound = entropy_bounds(CLParams(p, u))
         value = entropy(CLParams(p, u), eps=1e-8)
-        assert value.H.value.hi <= bound.hi, (p, u)
+        assert bound.lo <= value.H.value.lo and value.H.value.hi <= bound.hi, (p, u)
+
+
+def test_sandwich_meets_both_routes():
+    for p in SANDWICH_PRIMES:
+        for u in SANDWICH_RANKS:
+            bound = entropy_bounds(CLParams(p, u))
+            assert bound.overlaps(entropy(CLParams(p, u), eps=1e-9).H.value), (p, u)
+    for u in (0, -0.5):
+        by_definition = entropy_by_definition(CLParams(2, u), 8).value
+        assert entropy_bounds(CLParams(2, u)).overlaps(by_definition), u
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(PRIMES_TO_97),
+    st.one_of(
+        st.floats(-1.0, float(cli.MAX_UNIT_RANK), exclude_min=True),
+        st.floats(-1.0, 3.0, exclude_min=True),
+        st.integers(0, cli.MAX_UNIT_RANK),
+    ),
+    st.floats(cli.EPS_MIN, cli.EPS_MAX),
+)
+@example(2, math.nextafter(-1.0, 0.0), 1e-12)
+@example(97, -1 + 1e-12, 1e-12)
+def test_sandwich_meets_identity_route_over_the_cli_box(p, u, eps):
+    params = CLParams(p, u)
+    try:
+        value = entropy(params, eps=eps).H.value
+    except RefusalError:
+        value = None
+    try:
+        bound = entropy_bounds(params)
+    except RefusalError as refusal:
+        # the one refusal is the identity route's own, next to -1
+        assert "too close to -1" in str(refusal) and value is None
+        return
+    assert value is None or bound.overlaps(value), (p, u, eps)
+
+
+def test_sandwich_ends_match_their_series_at_50_digits():
+    # rounding-only: the same two series evaluated in mpmath, so a slip in
+    # either formula shows even where the sandwich still holds
+    for p, u in [(2, 10), (3, 0.5), (97, 10), (2, -0.9), (5, 0)]:
+        bound = entropy_bounds(CLParams(p, u))
+        with mpmath.workdps(50):
+            L, r = mpmath.log(p), mpmath.mpf(u)
+            x = [mpmath.mpf(p) ** -(r + i) for i in range(1, 400)]
+            mlf = -mpmath.fsum(mpmath.log1p(-t) for t in x)
+            mean = mpmath.fsum(t / (1 - t) for t in x)
+            var = mpmath.fsum(t / (1 - t) ** 2 for t in x)
+            upper = mlf + r * L * mean + L * (var + mean**2)
+            lower, log_eta = mlf * mpmath.exp(-mlf), 0
+            for n in range(1, ENTROPY_MODULE.BOUNDS_DEPTH + 1):
+                log_eta += mpmath.log1p(-mpmath.mpf(p) ** -n)
+                minus_log_P = mlf + (r + 1) * n * L + log_eta
+                lower += minus_log_P * mpmath.exp(-minus_log_P)
+            assert upper <= bound.hi <= upper * (1 + 1e-9), (p, u)
+            assert lower * (1 - 1e-9) <= bound.lo <= lower, (p, u)
 
 
 def test_upper_bound_decreases_in_u():
-    bounds = [entropy_upper_bound(CLParams(2, u)).hi for u in range(2, 12)]
+    bounds = [entropy_bounds(CLParams(2, u)).hi for u in range(12)]
     assert bounds == sorted(bounds, reverse=True)
 
 
-def test_upper_bound_refuses_small_u():
-    with pytest.raises(RefusalError):
-        entropy_upper_bound(CLParams(2, 1))
+def test_bounds_answer_below_two_and_refuse_only_next_to_minus_one():
+    for u in (1, 0, -0.5, -0.99, -1 + 1e-12):
+        bound = entropy_bounds(CLParams(2, u))
+        assert 0.0 < bound.lo <= bound.hi < math.inf, u
+    with pytest.raises(RefusalError, match="too close to -1"):
+        entropy_bounds(CLParams(2, math.nextafter(-1.0, 0.0)))

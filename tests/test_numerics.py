@@ -22,6 +22,7 @@ from clentropy.numerics import (
     iv_from_fraction,
     iv_from_int,
     iv_log,
+    iv_log1p,
     iv_log_int,
     iv_mul,
     iv_mul_scalar,
@@ -180,6 +181,55 @@ def test_log_int_matches_high_precision():
         iv = iv_log_int(m)
         assert _mp_contains(iv, mpmath.log(m))
     assert iv_log_int(1) == ZERO
+
+
+def test_log1p_keeps_relative_accuracy_near_zero():
+    tiny = iv_log1p(iv_point(-1e-30))
+    assert tiny.hi == -1e-30  # log1p(x) <= x
+    assert tiny.width <= 2 * math.ulp(1e-30)  # iv_log(1 + x) would span 4e-16
+    assert iv_log1p(ZERO).hi == 0.0
+    with pytest.raises(IntervalDomainError):
+        iv_log1p(Interval(-1.0, 0.0))
+
+
+# ------------------------------------------------ the libm assumption, audited
+# log, log1p and exp are trusted to within two ulps of the exact value (see
+# the numerics docstring); these draws hold each against 50-digit mpmath,
+# with arguments near the point where the function vanishes.
+
+near_zero = st.floats(min_value=-1e-6, max_value=1e-6)
+above_minus_one = st.one_of(st.floats(min_value=-1.0, max_value=1e300, exclude_min=True),
+                            near_zero)
+
+
+def _encloses_at_50_digits(iv: Interval, function, lo, hi) -> bool:
+    with mpmath.workdps(50):
+        return mpmath.mpf(iv.lo) <= function(lo) and function(hi) <= mpmath.mpf(iv.hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(above_minus_one, above_minus_one)
+def test_log1p_encloses_mpmath(x, y):
+    lo, hi = sorted((x, y))
+    assert _encloses_at_50_digits(iv_log1p(Interval(lo, hi)), mpmath.log1p, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(min_value=5e-324, max_value=1e308), st.floats(1 - 1e-9, 1 + 1e-9)))
+def test_log_encloses_mpmath(x):
+    assert _encloses_at_50_digits(iv_log(iv_point(x)), mpmath.log, x, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(min_value=-745.0, max_value=709.0), near_zero))
+def test_exp_encloses_mpmath(x):
+    assert _encloses_at_50_digits(iv_exp(iv_point(x)), mpmath.exp, x, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 2**64), st.integers(1, 2**5000), st.integers(-3, 3).map(lambda k: 2**1024 + k)))
+def test_log_int_encloses_mpmath(m):
+    assert _encloses_at_50_digits(iv_log_int(m), mpmath.log, m, m)
 
 
 # ------------------------------------------------------- exact constructions

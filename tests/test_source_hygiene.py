@@ -13,7 +13,10 @@ DP can be deleted without touching another module's code.  And
 its tail with Hall's level sum instead.  The two exhaustive automorphism
 counts in ``groups.py`` stay independent routes: of the module's names,
 they share only the refusal (``RefusalError``, ``BRUTEFORCE_MAX_ORDER``),
-counting the names the module's own functions they call read.  There is no
+counting the names the module's own functions they call read.  The closed
+entropy sandwich (``entropy_bounds``) is a third entropy route: it reads
+neither the rank chain nor any partition listing, and ``entropy.py`` no
+longer imports the Hall sums.  There is no
 linter in the toolchain, so this is the gate.  A name counts as used when
 it is loaded anywhere in the module or listed in a literal ``__all__``.
 
@@ -42,6 +45,9 @@ STRIP_TAIL_ALLOWED = {"measures.py", "__init__.py"}
 EXHAUSTIVE_ROUTES = ("aut_order_bruteforce", "aut_order_generating_tuples")
 ROUTES_MAY_SHARE = {"RefusalError", "BRUTEFORCE_MAX_ORDER"}
 HEAVY_IMPORTS = {"numpy", "mpmath"}
+SANDWICH_MAY_NOT_READ = {"RankChain", "rank_series", "level_stats_by_enumeration",
+                         "hall_sum_partial", "hall_tail_bounds", "iter_partitions"}
+HALL_SUMS = ("hall_sum_partial", "hall_tail_bounds")
 
 
 def private_imports(tree: ast.Module) -> list[str]:
@@ -258,6 +264,26 @@ def test_check_catches_shared_route_helpers():
     assert shared_route_names(tree) == {"closure", "LEVELS"}
 
 
+def test_entropy_sandwich_reads_no_chain_and_no_listing():
+    tree = ast.parse((SRC / "entropy.py").read_text())
+    # the guard sees the entropy module's own chain reader
+    assert "RankChain" in module_names_read(tree, "entropy")
+    assert module_names_read(tree, "entropy_bounds") & SANDWICH_MAY_NOT_READ == set()
+    assert [name_reads(tree, name) for name in HALL_SUMS] == [[], []]
+
+
+def test_check_catches_a_sandwich_reading_the_chain():
+    tree = ast.parse(
+        "from .measures import RankChain, hall_sum_partial, normalizing_constant\n"
+        "def helper(params):\n"
+        "    return RankChain(params)\n"
+        "def entropy_bounds(params):\n"
+        "    return helper(params), normalizing_constant(params)\n"
+    )
+    assert module_names_read(tree, "entropy_bounds") & SANDWICH_MAY_NOT_READ == {"RankChain"}
+    assert [name_reads(tree, name) for name in HALL_SUMS] == [["line 1"], []]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_numpy_and_mpmath_imported_lazily(path):
     assert eager_imports(ast.parse(path.read_text())) == []
@@ -364,12 +390,12 @@ def test_cli_subcommand_loads_only_its_modules(argv, absent):
 
 EXPORTS = """
 AbelianPGroup AutBoundReport CLParams CertifiedValue EntropyResult Interval
-IntervalDomainError RefusalError TailClosureError ZetaParams aut_order
+IntervalDomainError RefusalError TailClosureError ZetaParams
 aut_order_block_formula aut_order_bruteforce aut_order_generating_tuples
 aut_order_parts auto_product_depth bound_series_tail check_aut_lower_bound
 check_decreasing_inequality check_reduced_inequality_rank1 cl_measure
-cross_entropy_direct dual_partition entropy entropy_by_definition
-entropy_upper_bound enumerate_partitions exceptional_margins group_order
+cross_entropy_direct dual_partition entropy entropy_bounds
+entropy_by_definition enumerate_partitions exceptional_margins
 groups_of_order_exponent hall_sum_partial hall_tail_bounds is_partition
 is_prime iter_partitions iv_div iv_log iv_mul iv_point kl_closed kl_direct
 level_stats limit_derivative_identity n_lambda normalizing_constant
