@@ -18,7 +18,6 @@ _EXPORTS = {
     "entropy": (
         "EntropyResult",
         "check_decreasing_inequality",
-        "check_reduced_inequality_rank1",
         "entropy",
         "entropy_bounds",
         "entropy_by_definition",
@@ -35,7 +34,6 @@ _EXPORTS = {
         "aut_order_generating_tuples",
         "aut_order_parts",
         "check_aut_lower_bound",
-        "groups_of_order_exponent",
         "is_prime",
         "pow_le",
     ),
@@ -56,7 +54,6 @@ _EXPORTS = {
         "enumerate_partitions",
         "is_partition",
         "iter_partitions",
-        "n_lambda",
         "partition_count",
     ),
     "zeta": (
@@ -64,8 +61,6 @@ _EXPORTS = {
         "cross_entropy_direct",
         "kl_closed",
         "kl_direct",
-        "limit_derivative_identity",
-        "w_k_weight",
         "zeta_log_derivative",
         "zeta_product",
         "zeta_sum",

@@ -90,15 +90,6 @@ class EntropyResult(Record):
         self.__dict__.update(
             params=params, H=H, minus_log_fu=minus_log_fu, weighted_sum=weighted_sum)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.H, self.minus_log_fu, self.weighted_sum) == (
-            other.params, other.H, other.minus_log_fu, other.weighted_sum)
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.H, self.minus_log_fu, self.weighted_sum))
-
     @property
     def decomposition(self) -> tuple[Interval, CertifiedValue]:
         return self.minus_log_fu, self.weighted_sum
@@ -264,22 +255,6 @@ def check_decreasing_inequality(p: int, u: int, A: AbelianPGroup) -> bool:
     return pow_le(a * x, P, x, a * (P - 1))
 
 
-def check_reduced_inequality_rank1(p: int, m: int) -> bool:
-    """Exact test of the cyclic-case reduction  #A <= (#Aut A)^{#A-1-#A/p}
-    at u = 0 for A = Z/p^m (clearing by p:  a^p <= aut^{a(p-1)-p}).
-
-    For cyclic A this is algebraically the u = 0 instance of the decreasing
-    inequality divided through by #Aut^{#A}, so the two checks must agree.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("cyclic exponent m must be >= 1")
-    a = p**m
-    aut = p ** (m - 1) * (p - 1)
-    return pow_le(a, p, aut, a * (p - 1) - p)
-
-
 def scan_exceptions(
     p_max: int, n_max: int, u_max: int
 ) -> list[tuple[int, int, Partition]]:
@@ -323,7 +298,7 @@ def weighted_log_term(params: CLParams, A: AbelianPGroup) -> Interval:
     return iv_mul(F, iv_mul(log_x, iv_exp(iv_neg(log_x))))
 
 
-def exceptional_margins(p_set: tuple[int, ...] = (2, 3)) -> tuple[Interval, Interval, Interval]:
+def exceptional_margins() -> tuple[Interval, Interval, Interval]:
     """Certified margins showing the entropy drop survives the exceptions.
 
     Each margin is an entropy difference restricted to the -log F_u part
@@ -337,8 +312,6 @@ def exceptional_margins(p_set: tuple[int, ...] = (2, 3)) -> tuple[Interval, Inte
     All three are certified positive, with lower bounds at least
     0.44, 0.21 and 0.34 respectively.
     """
-    if 2 not in p_set or 3 not in p_set:
-        raise ValueError("the exceptional classes live at p = 2 and p = 3")
     out = []
     for p, u, classes in (
         (2, 0, ((1,), (2,))),

@@ -25,3 +25,10 @@ class TailClosureError(RefusalError):
     Carries enough context in the message to diagnose which sum and which
     truncation level were involved.
     """
+
+
+def too_close_to_minus_one(p: int) -> RefusalError:
+    """The refusal for a unit-rank within rounding of -1, where
+    1 - p^-(u+1) cannot be certified positive."""
+    return RefusalError(f"1 - p^-(u+1) is not certified positive at p={p}: "
+                        "the unit-rank is too close to -1")

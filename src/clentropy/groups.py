@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import RefusalError
@@ -116,14 +115,6 @@ class AbelianPGroup(Record):
         if not is_partition(lambda_prime):
             raise ValueError(f"not a partition: {lambda_prime!r}")
         self.__dict__.update(p=p, lambda_prime=lambda_prime)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.lambda_prime) == (other.p, other.lambda_prime)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.lambda_prime))
 
     @cached_property
     def order(self) -> int:
@@ -365,15 +356,6 @@ class AutBoundReport(Record):
     def __init__(self, lower_bound_ok: bool, rank2_bound_ok: bool | None):
         self.__dict__.update(lower_bound_ok=lower_bound_ok, rank2_bound_ok=rank2_bound_ok)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lower_bound_ok, self.rank2_bound_ok) == (
-            other.lower_bound_ok, other.rank2_bound_ok)
-
-    def __hash__(self) -> int:
-        return hash((self.lower_bound_ok, self.rank2_bound_ok))
-
 
 def check_aut_lower_bound(a: AbelianPGroup) -> AutBoundReport:
     """Verify #Aut(A) >= #A (1 - 1/p), and #Aut(A) >= #A when rank >= 2.
@@ -389,49 +371,6 @@ def check_aut_lower_bound(a: AbelianPGroup) -> AutBoundReport:
     lower_ok = a.p * aut >= order * (a.p - 1)
     rank2_ok = (aut >= order) if a.rank >= 2 else None
     return AutBoundReport(lower_bound_ok=lower_ok, rank2_bound_ok=rank2_ok)
-
-
-def aut_exponent_forms(lam: Partition) -> tuple[Fraction, Fraction]:
-    """Two closed forms of the p-exponent in the aut-count lower bound.
-
-    For a partition lam (the conjugate type) with gaps m_j = lam_j - lam_{j+1}:
-
-      form A = lam_1^2/2 - 3 lam_1/2 + ((|lam^2| - lam_1^2) - (|lam| - lam_1))
-               + sum_j m_j lam_{j+1}
-      form B = sum_j (lam_j^2 - lam_j) - m_j^2/2 - m_j/2
-
-    They are equal as rationals; returning both lets tests confirm the
-    algebra over the full range exactly.
-    """
-    if not is_partition(lam):
-        raise ValueError(f"not a partition: {lam!r}")
-    if not lam:
-        return Fraction(0), Fraction(0)
-    ext = list(lam) + [0]
-    m = [ext[j] - ext[j + 1] for j in range(len(lam))]
-    l1 = lam[0]
-    sq = sum(x * x for x in lam)
-    form_a = (
-        Fraction(l1 * l1, 2)
-        - Fraction(3 * l1, 2)
-        + (sq - l1 * l1)
-        - (sum(lam) - l1)
-        + sum(m[j] * ext[j + 1] for j in range(len(lam)))
-    )
-    form_b = sum(
-        Fraction(lam[j] * lam[j] - lam[j], 1)
-        - Fraction(m[j] * m[j], 2)
-        - Fraction(m[j], 2)
-        for j in range(len(lam))
-    )
-    return Fraction(form_a), Fraction(form_b)
-
-
-def groups_of_order_exponent(p: int, n: int) -> list[AbelianPGroup]:
-    """All abelian p-groups of order p^n, in canonical (reverse-lex) order."""
-    from .partitions import enumerate_partitions
-
-    return [AbelianPGroup(p, parts) for parts in enumerate_partitions(n)]
 
 
 def _log_comparison_bits(b1: int, e1: int, b2: int, e2: int) -> int:

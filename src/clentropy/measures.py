@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import RefusalError, TailClosureError
+from .errors import RefusalError, TailClosureError, too_close_to_minus_one
 from .groups import aut_order_parts, is_prime
 from .numerics import (
     ONE,
@@ -93,14 +93,6 @@ class CLParams(Record):
             u = int(u)
         self.__dict__.update(p=p, u=u)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.u) == (other.p, other.u)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.u))
-
     @property
     def integral(self) -> bool:
         return isinstance(self.u, int) and self.u >= 0
@@ -140,8 +132,7 @@ def partial_product(p: int, s, k: int) -> Interval:
             expo = iv_mul(iv_add(s_iv, iv_from_int(i)), L)
             prod = iv_mul(prod, iv_sub(ONE, iv_exp(iv_neg(expo))))
     if not prod.lo > 0.0:  # 1 - p^-(s+1) within rounding of 0
-        raise RefusalError(f"1 - p^-(u+1) is not certified positive at p={p}: "
-                           f"the unit-rank is too close to -1")
+        raise too_close_to_minus_one(p)
     return prod
 
 
@@ -546,8 +537,7 @@ class RankChain:
             g = iv_add(g, iv_mul(w, iv_add(gb, iv_mul(self.log_eta[a - b], zb))))
         free = iv_sub(ONE, x)
         if not free.lo > 0.0:  # rank 1 at a u within rounding of -1
-            raise RefusalError(f"1 - p^-(u+1) is not certified positive at p={self.p}: "
-                               f"the unit-rank is too close to -1")
+            raise too_close_to_minus_one(self.p)
         z = iv_div(z, free)
         n = iv_div(iv_add(iv_mul_scalar(z, float(a)), n), free)
         g = iv_div(iv_add(iv_mul(iv_mul_scalar(self.L, float(a * a)), z), g), free)

@@ -289,9 +289,8 @@ PARTITION_GROWTH = Interval._make(2.565099660323728, 2.565099660323729)
 class Record:
     """Base of the immutable value records.  ``__init__`` validates and then
     writes the fields, named in ``_fields``, straight into ``__dict__``;
-    after that no attribute can be set or deleted.  Each record writes its
-    own ``__eq__`` and ``__hash__`` over the fields (a generic key is slower
-    to hash and compare)."""
+    after that no attribute can be set or deleted.  Records are equal when
+    they have the same class and equal fields, and hash as their fields."""
 
     __slots__ = ()
     _fields = ()
@@ -301,6 +300,17 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -326,15 +336,6 @@ class CertifiedValue(Record):
             raise ValueError("tail_bound must be a nonnegative float")
         self.__dict__.update(
             value=value, truncation_level=truncation_level, tail_bound=tail_bound)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.truncation_level, self.tail_bound) == (
-            other.value, other.truncation_level, other.tail_bound)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.truncation_level, self.tail_bound))
 
     def enclosure(self, symmetric: bool = False) -> Interval:
         """The interval with the tail bound folded in.

@@ -120,24 +120,3 @@ def dual_partition(parts: Partition) -> Partition:
         return ()
     return tuple(sum(1 for x in parts if x >= j) for j in range(1, parts[0] + 1))
 
-
-def n_lambda(parts: Partition) -> int:
-    """The statistic n(lambda) = sum_i (i-1) * parts[i].
-
-    Equivalently sum_j binomial(mu_j, 2) over the conjugate mu; both forms
-    are computed and cross-checked on every call.
-
-    >>> n_lambda((2, 1))
-    1
-    >>> n_lambda((1, 1, 1, 1))
-    6
-    """
-    if not is_partition(parts):
-        raise ValueError(f"not a partition: {parts!r}")
-    direct = sum(i * x for i, x in enumerate(parts))
-    via_dual = sum(m * (m - 1) // 2 for m in dual_partition(parts))
-    if direct != via_dual:
-        raise AssertionError(
-            f"n_lambda mismatch for {parts!r}: {direct} != {via_dual}"
-        )
-    return direct

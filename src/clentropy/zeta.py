@@ -26,9 +26,8 @@ check of the closed form.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .errors import RefusalError
+from .errors import too_close_to_minus_one
 from .groups import is_prime
 from .measures import (
     CLParams,
@@ -77,34 +76,6 @@ class ZetaParams(Record):
         if isinstance(s, float) and s.is_integer():
             s = int(s)
         self.__dict__.update(p=p, k=k, s=s)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.k, self.s) == (other.p, other.k, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.s))
-
-
-def w_k_weight(A, k: int) -> Fraction:
-    """Exact rank-truncated weight w_k(A); zero when rank(A) > k.
-
-    The trivial group has weight 1 at every level (empty product over an
-    automorphism group of size one).
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"level must be a positive integer, got {k!r}")
-    r = A.rank
-    if r > k:
-        return Fraction(0)
-    p = A.p
-    num = 1
-    expo = 0
-    for i in range(k - r + 1, k + 1):
-        num *= p**i - 1
-        expo += i
-    return Fraction(num, p**expo * A.aut_order)
 
 
 def zeta_product(params: ZetaParams) -> Interval:
@@ -155,8 +126,7 @@ def _log_ratio_sum(p: int, s, k: int) -> Interval:
             expo = iv_mul(iv_add(s_iv, iv_from_int(i)), L)
             denom = iv_sub(iv_exp(expo), ONE)
             if not denom.lo > 0.0:  # p^(s+1) - 1 within rounding of 0
-                raise RefusalError(f"1 - p^-(u+1) is not certified positive at p={p}: "
-                                   f"the unit-rank is too close to -1")
+                raise too_close_to_minus_one(p)
             acc = iv_add(acc, iv_div(L, denom))
     return acc
 
@@ -190,17 +160,16 @@ def zeta_log_derivative(params: ZetaParams) -> Interval:
     return iv_neg(iv_mul(zeta_product(params), _log_ratio_sum(p, s, k)))
 
 
-def kl_closed(p: int, u1, u2, tol: float = 1e-9) -> CertifiedValue:
+def kl_closed(p: int, u1, u2) -> CertifiedValue:
     """Closed-form divergence D(nu_1 || nu_2), tail folded into the value:
 
         log(F_{u1}/F_{u2}) + (u2 - u1) sum_{i>=1} log(p)/(p^{u1+i} - 1).
 
-    The series is truncated where its geometric tail bound drops below
-    tol/4 and the bound is folded in before the (u2-u1) factor, so the
-    returned interval always contains the exact divergence.
+    The depths of F_u and of the series are chosen for a tolerance of 1e-9,
+    and the series' geometric tail bound is folded in before the (u2-u1)
+    factor, so the returned interval always contains the exact divergence.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = 1e-9
     params1, params2 = CLParams(p, u1), CLParams(p, u2)
     J = auto_product_depth(p, min(params1.u, params2.u), tol / 8)
     F1 = normalizing_constant(params1, J)
@@ -238,27 +207,6 @@ def kl_direct(p: int, u1, u2, tol: float = 1e-6) -> CertifiedValue:
         "divergence", f"p={p}, u1={u1}, u2={u2}",
     )
     return CertifiedValue(value=value, truncation_level=R, tail_bound=rest)
-
-
-def limit_derivative_identity(p: int, u1, tol: float, k_max: int = 200) -> bool:
-    """Check  lim_k -zeta_k'(u1) = (1/F_{u1}) sum_{i>=1} log(p)/(p^{u1+i}-1).
-
-    Walks k upward until the finite-k derivative interval lands inside the
-    right-hand side's interval widened by tol; returns False if that never
-    happens by k_max.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    params = CLParams(p, u1)
-    F = normalizing_constant(params)
-    I = auto_product_depth(p, params.u, tol / (5 * math.log(p)))
-    rhs = iv_mul(iv_div(ONE, F), _reciprocal_power_sum(p, params.u, I))
-    target = rhs.widened(tol)
-    for k in range(1, k_max + 1):
-        lhs = iv_neg(zeta_log_derivative(ZetaParams(p, k, float(params.u))))
-        if target.lo <= lhs.lo and lhs.hi <= target.hi:
-            return True
-    return False
 
 
 def cross_entropy_direct(p: int, u1, u2, tol: float = 1e-5) -> CertifiedValue:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clentropy import cli
+from clentropy import Interval, cli
 
 
 def run_main(argv, capsys):
@@ -33,7 +33,11 @@ def run_main_expect_usage_error(argv, capsys):
 # ---------------------------------------------------------------- happy paths
 
 
-def test_entropy_json_record_shape(capsys):
+def record_interval(record) -> Interval:
+    return Interval(record["value_lo"], record["value_hi"])
+
+
+def test_entropy_json_record_shape(capsys, decimal_interval):
     code, out, _ = run_main(["entropy", "--p", "2", "--u", "0", "--eps", "1e-3"], capsys)
     assert code == 0
     lines = out.splitlines()
@@ -46,7 +50,7 @@ def test_entropy_json_record_shape(capsys):
     assert record["command"] == "entropy"
     assert record["p"] == 2 and record["u"] == 0
     assert record["status"] == "ok"
-    assert record["value_lo"] <= 2.00303634925 <= record["value_hi"]
+    assert record_interval(record).overlaps(decimal_interval("2.00303634925"))
     assert record["value_hi"] - record["value_lo"] <= 1e-3
 
 
@@ -67,7 +71,7 @@ def test_float_fields_roundtrip_through_json(capsys):
     assert format(record["value_hi"], ".17g") in out
 
 
-def test_kl_both_modes_report_overlap(capsys):
+def test_kl_both_modes_report_overlap(capsys, decimal_interval):
     code, out, _ = run_main(
         ["kl", "--p", "2", "--u1", "0", "--u2", "1", "--mode", "both"], capsys
     )
@@ -76,7 +80,7 @@ def test_kl_both_modes_report_overlap(capsys):
     assert [r["mode"] for r in records] == ["closed", "direct"]
     assert all(r["overlap"] is True for r in records)
     closed = records[0]
-    assert closed["value_lo"] <= 0.420529034356046 <= closed["value_hi"]
+    assert record_interval(closed).overlaps(decimal_interval("0.420529034356046"))
 
 
 def test_kl_single_mode_has_no_overlap_field(capsys):
@@ -115,14 +119,14 @@ def test_zeta_all_modes(capsys):
     assert product["value_lo"] <= 512 / 315 <= product["value_hi"]
 
 
-def test_zeta_infinite_level_product(capsys):
+def test_zeta_infinite_level_product(capsys, decimal_interval):
     code, out, _ = run_main(
         ["zeta", "--p", "2", "--k", "inf", "--s", "0", "--mode", "product"], capsys
     )
     assert code == 0
     record = json.loads(out)
     assert record["k"] == -1  # sentinel for the infinite level
-    assert record["value_lo"] <= 3.46274661945506361 <= record["value_hi"]
+    assert record_interval(record).overlaps(decimal_interval("3.46274661945506361"))
 
 
 # ----------------------------------------------------------------- csv output

