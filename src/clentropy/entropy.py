@@ -40,12 +40,12 @@ from .errors import RefusalError
 from .groups import AbelianPGroup, is_prime, pow_le
 from .measures import (
     CLParams,
-    RankChain,
     auto_product_depth,
     check_enumeration_budget,
     level_stats_by_enumeration,
     normalizing_constant,
     pow_p_minus,
+    rank_chain,
     rank_series,
 )
 from .numerics import (
@@ -130,7 +130,7 @@ def entropy(params: CLParams, eps: float = 1e-6) -> EntropyResult:
     mlf = iv_neg(iv_log(F))
     weights = (ZERO, iv_mul_scalar(iv_log_int(p), float(params.u)), ONE)
     R, ws_value, rest = rank_series(
-        RankChain(params), F, weights, eps / 2, "entropy", f"p={p}, u={params.u}"
+        rank_chain(params), F, weights, eps / 2, "entropy", f"p={p}, u={params.u}"
     )
     weighted_sum = CertifiedValue(ws_value, R, rest)
     h_value = iv_add(mlf, weighted_sum.enclosure())

@@ -18,6 +18,9 @@ Certification discipline:
   an interval once at the end;
 * series over all groups are summed by rank (``RankChain``, walked by
   ``rank_series``), with a proven tail past rank R that falls like p^(-R^2);
+  the series at one (p, u) share a chain (``rank_chain``, an LRU memo of
+  ``RANK_CHAIN_MEMO``), built once per process under a per-chain lock; a
+  chain holds states and rests, never an answer;
 * the Hall sums, which list partitions level by level, carry tail bounds
   built from two ingredients only:
   #Aut A >= #A (1 - 1/p) >= p^{n-1} for #A = p^n (so 1/#Aut <= p^{1-n}),
@@ -31,6 +34,7 @@ Certification discipline:
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,6 +67,9 @@ from .numerics import (
 from .partitions import iter_partitions, partition_count
 
 MAX_ENUM_PARTITIONS = 2_000_000
+# Chains kept by ``rank_chain``: ten times the 24 distinct (p, u) of the
+# benchmark's warm sweep; a chain is about a hundred intervals.
+RANK_CHAIN_MEMO = 256
 # Ceiling on the rank cutoff of a chain series: its rest falls like p^(-R^2),
 # so R <= 8 reaches eps = 1e-12 for every p and u, and R = 20 is past 2^-400.
 MAX_RANK = 20
@@ -508,6 +515,10 @@ class RankChain:
 
         sum_{a>R} Z(a) <= T,  sum_{a>R} N(a) <= T P(R+1),
         sum_{a>R} G(a) <= T P(R+1) (R+1) L.
+
+    A chain keeps every state and rest it builds: asking again is a lookup
+    with the same bits.  Threads may share a chain (``rank_chain``), so its
+    growth runs under a per-chain lock and no rank is appended twice.
     """
 
     def __init__(self, params: CLParams):
@@ -519,6 +530,8 @@ class RankChain:
         self.states = [(ONE, ZERO, ZERO)]  # a -> (Z(a), N(a), G(a))
         self.sums = [(ONE, ZERO, ZERO)]  # R -> their sums over the ranks <= R
         self.visits = [ZERO]  # R -> s_R
+        self.rest_bounds = {}  # R -> rests(R)
+        self.lock = threading.Lock()
 
     def _loop(self, a: int) -> Interval:
         """x_a = p^(-a(a+u)), the self-loop weight of state a."""
@@ -527,6 +540,9 @@ class RankChain:
     def _grow(self) -> None:
         a = len(self.states)
         x = self._loop(a)
+        free = iv_sub(ONE, x)
+        if not free.lo > 0.0:  # rank 1 at a u within rounding of -1
+            raise too_close_to_minus_one(self.p)
         self.eta.append(iv_mul(self.eta[-1], iv_sub(ONE, iv_recip_int(self.p**a))))
         self.log_eta.append(iv_log(self.eta[-1]))
         z = n = g = ZERO
@@ -535,9 +551,6 @@ class RankChain:
             z = iv_add(z, iv_mul(w, zb))
             n = iv_add(n, iv_mul(w, nb))
             g = iv_add(g, iv_mul(w, iv_add(gb, iv_mul(self.log_eta[a - b], zb))))
-        free = iv_sub(ONE, x)
-        if not free.lo > 0.0:  # rank 1 at a u within rounding of -1
-            raise too_close_to_minus_one(self.p)
         z = iv_div(z, free)
         n = iv_div(iv_add(iv_mul_scalar(z, float(a)), n), free)
         g = iv_div(iv_add(iv_mul(iv_mul_scalar(self.L, float(a * a)), z), g), free)
@@ -547,8 +560,9 @@ class RankChain:
 
     def state(self, a: int) -> tuple[Interval, Interval, Interval]:
         """(Z(a), N(a), G(a))."""
-        while len(self.states) <= a:
-            self._grow()
+        with self.lock:
+            while len(self.states) <= a:
+                self._grow()
         return self.states[a]
 
     def through(self, R: int) -> tuple[Interval, Interval, Interval]:
@@ -560,6 +574,8 @@ class RankChain:
         """[0, bound] for the sums of Z, N and G over the ranks a > R >= 1."""
         if R < 1:
             raise ValueError("rank cutoff must be >= 1")
+        if R in self.rest_bounds:
+            return self.rest_bounds[R]
         p, q = self.p, R + 1
         mass = self.through(R)[0]
         x = self._loop(q)
@@ -575,7 +591,17 @@ class RankChain:
         poly = iv_add(self.visits[R], iv_div(iv_from_int(q * (q + 1) // 2), free))
         t_n = iv_mul(t_z, poly)
         t_g = iv_mul(iv_mul_scalar(t_n, float(q)), self.L)
-        return tuple(Interval(0.0, t.hi) for t in (t_z, t_n, t_g))
+        self.rest_bounds[R] = tuple(Interval(0.0, t.hi) for t in (t_z, t_n, t_g))
+        return self.rest_bounds[R]
+
+
+@lru_cache(maxsize=RANK_CHAIN_MEMO)
+def rank_chain(params: CLParams) -> RankChain:
+    """The ``RankChain`` every series at ``params`` reads: an LRU memo keyed
+    by the normalised ``CLParams`` (u = 1.0 and u = 1 share a chain).  It
+    keeps chains, not answers: each caller brings its own F_u, weights and
+    target, and gets the bits a fresh chain gives."""
+    return RankChain(params)
 
 
 def rank_series(
@@ -589,19 +615,27 @@ def rank_series(
     value (``RankChain.rests``).  R is the first cutoff in 1..MAX_RANK whose
     rest is below ``target`` and no wider than the partial sum, so that
     rounding, not truncation, sets the width.  Past the cap the series
-    refuses, naming itself and ``where``.
+    refuses, naming itself and ``where``.  The rest is formed first at each
+    R, and the partial sum only where the rest is below ``target``: that
+    test alone decides the cutoffs it skips.
     """
+    sizes = [iv_abs(w) for w in weights]
     for R in range(1, MAX_RANK + 1):
-        value = rest = ZERO
-        for w, total, tail in zip(weights, chain.through(R), chain.rests(R)):
-            value = iv_add(value, iv_mul(w, total))
-            rest = iv_add(rest, iv_mul(iv_abs(w), tail))
-        value, rest = iv_mul(F, value), iv_mul(F, rest).hi
-        if rest < target and rest <= value.width:
-            return R, value, rest
+        rest = iv_mul(F, _weighted(sizes, chain.rests(R))).hi
+        if rest < target:
+            value = iv_mul(F, _weighted(weights, chain.through(R)))
+            if rest <= value.width:
+                return R, value, rest
     raise RefusalError(
         f"{series} tail cannot be pushed below {target:g} by rank {MAX_RANK} at {where}"
     )
+
+
+def _weighted(weights, sums) -> Interval:
+    acc = ZERO
+    for w, total in zip(weights, sums):
+        acc = iv_add(acc, iv_mul(w, total))
+    return acc
 
 
 def total_mass(params: CLParams, eps: float = 1e-6) -> CertifiedValue:
@@ -618,7 +652,7 @@ def total_mass(params: CLParams, eps: float = 1e-6) -> CertifiedValue:
     """
     F = normalizing_constant(params, auto_product_depth(params.p, params.u, eps))
     R, value, rest = rank_series(
-        RankChain(params), F, (ONE, ZERO, ZERO), eps / 2, "total mass",
+        rank_chain(params), F, (ONE, ZERO, ZERO), eps / 2, "total mass",
         f"p={params.p}, u={params.u}",
     )
     return CertifiedValue(value=value, truncation_level=R, tail_bound=rest)

@@ -31,10 +31,10 @@ from .errors import too_close_to_minus_one
 from .groups import is_prime
 from .measures import (
     CLParams,
-    RankChain,
     auto_product_depth,
     normalizing_constant,
     partial_product,
+    rank_chain,
     rank_series,
 )
 from .numerics import (
@@ -104,7 +104,7 @@ def zeta_sum(params: ZetaParams, N: int | None = None) -> CertifiedValue:
     p, k, s = params.p, params.k, params.s
     if k is None:
         raise ValueError("the group-sum route needs a finite level k")
-    chain = RankChain(CLParams(p, s))
+    chain = rank_chain(CLParams(p, s))
     weight = ONE
     total = ONE  # the trivial group
     for r in range(1, k + 1):
@@ -203,7 +203,7 @@ def kl_direct(p: int, u1, u2, tol: float = 1e-6) -> CertifiedValue:
     c = iv_sub(iv_log(F1), iv_log(F2))
     delta = iv_sub(iv_point(float(params2.u)), iv_point(float(params1.u)))
     R, value, rest = rank_series(
-        RankChain(params1), F1, (c, iv_mul(delta, iv_log_int(p)), ZERO), tol / 2,
+        rank_chain(params1), F1, (c, iv_mul(delta, iv_log_int(p)), ZERO), tol / 2,
         "divergence", f"p={p}, u1={u1}, u2={u2}",
     )
     return CertifiedValue(value=value, truncation_level=R, tail_bound=rest)
@@ -229,6 +229,6 @@ def cross_entropy_direct(p: int, u1, u2, tol: float = 1e-5) -> CertifiedValue:
     mlf2 = iv_neg(iv_log(F2))
     weights = (mlf2, iv_mul_scalar(iv_log_int(p), float(params2.u)), ONE)
     R, value, rest = rank_series(
-        RankChain(params1), F1, weights, tol / 2, "cross-entropy", f"p={p}, u1={u1}, u2={u2}"
+        rank_chain(params1), F1, weights, tol / 2, "cross-entropy", f"p={p}, u1={u1}, u2={u2}"
     )
     return CertifiedValue(value=value, truncation_level=R, tail_bound=rest)

@@ -3,6 +3,8 @@
 import importlib
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -31,10 +33,12 @@ from clentropy import kl_closed, kl_direct, zeta_product, zeta_sum
 from clentropy import measures
 from clentropy.measures import (
     MAX_ENUM_PARTITIONS,
+    RANK_CHAIN_MEMO,
     RankChain,
     check_enumeration_budget,
     level_stats,
     level_stats_by_enumeration,
+    rank_chain,
     rank_series,
 )
 from clentropy.numerics import (
@@ -395,7 +399,9 @@ def test_series_tail_contains_the_exact_strip_sum(p, rate, N, coeffs):
 )
 def test_truncation_walk_computes_each_strip_level_once(monkeypatch, call, rank):
     # The rank walk asks the sums and rests at R = 1, 2, ...; the chain
-    # builds each rank's state once, not once per candidate cutoff.
+    # builds each rank's state once, not once per candidate cutoff, and a
+    # second call at the same (p, u) reads the shared chain and builds none.
+    rank_chain.cache_clear()
     built = []
     grow = RankChain._grow
 
@@ -404,8 +410,94 @@ def test_truncation_walk_computes_each_strip_level_once(monkeypatch, call, rank)
         grow(chain)
 
     monkeypatch.setattr(RankChain, "_grow", counted)
-    assert call().truncation_level == rank
+    first = call()
+    assert first.truncation_level == rank
     assert built == list(range(1, rank + 1))
+    assert _bits(call()) == _bits(first)
+    assert built == list(range(1, rank + 1))
+
+
+def _bits(result):
+    """A CertifiedValue as its exact bits: endpoints, level and tail."""
+    return (result.value.lo.hex(), result.value.hi.hex(), result.truncation_level,
+            float(result.tail_bound).hex())
+
+
+# Every chain consumer at one (p, u) = (3, 0.5), with the knob that sets its
+# depth: eps or tol, and the level k of the zeta group sum.
+CHAIN_CONSUMERS = {
+    "entropy": (lambda eps: entropy(CLParams(3, 0.5), eps).H, (1e-3, 1e-7, 1e-12)),
+    "kl_direct": (lambda tol: kl_direct(3, 0.5, 2, tol=tol), (1e-3, 1e-7, 1e-12)),
+    "cross_entropy_direct": (
+        lambda tol: cross_entropy_direct(3, 0.5, 0, tol=tol), (1e-3, 1e-7, 1e-12)),
+    "total_mass": (lambda eps: total_mass(CLParams(3, 0.5), eps=eps), (1e-3, 1e-7, 1e-12)),
+    "zeta_sum": (lambda k: zeta_sum(ZetaParams(3, k, 0.5)), (1, 4, 9)),
+}
+
+
+def test_shared_chain_answers_are_bit_identical_to_fresh_ones():
+    # cold: each answer from a cleared memo; warm: all of them, twice, in a
+    # shuffled order from one memo, so every consumer reads a chain others grew
+    cases = [(name, knob) for name, (_, knobs) in CHAIN_CONSUMERS.items() for knob in knobs]
+    cold = {}
+    for name, knob in cases:
+        rank_chain.cache_clear()
+        cold[name, knob] = _bits(CHAIN_CONSUMERS[name][0](knob))
+    rank_chain.cache_clear()
+    for name, knob in random.Random(47).sample(cases * 2, 2 * len(cases)):
+        assert _bits(CHAIN_CONSUMERS[name][0](knob)) == cold[name, knob], (name, knob)
+    assert rank_chain.cache_info().currsize == 1
+
+
+def test_equal_params_share_one_chain():
+    rank_chain.cache_clear()
+    assert rank_chain(CLParams(2, 1.0)) is rank_chain(CLParams(2, 1))
+    assert rank_chain.cache_info().currsize == 1
+
+
+def test_chain_memo_stays_at_its_bound():
+    rank_chain.cache_clear()
+    for u in range(RANK_CHAIN_MEMO + 10):
+        rank_chain(CLParams(3, u))
+    info = rank_chain.cache_info()
+    assert info.maxsize == info.currsize == RANK_CHAIN_MEMO
+    rank_chain.cache_clear()
+
+
+def test_threads_sharing_a_chain_build_each_rank_once():
+    # four threads grow the chains of a cleared memo at once, at a short
+    # switch interval; a rank appended twice would shift every later state
+    rank_chain.cache_clear()
+    cases = [CLParams(2, 0), CLParams(3, 0.5), CLParams(5, -0.5)]
+    chains = [rank_chain(params) for params in cases]
+    failures = []
+
+    def grow(seed):
+        try:
+            for R in random.Random(seed).sample(range(1, 13), 12):
+                for chain in chains:
+                    chain.rests(R)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    for params, chain in zip(cases, chains):
+        fresh = RankChain(params)
+        assert len(chain.states) == 13, params
+        for R in range(1, 13):
+            assert chain.state(R) == fresh.state(R), (params, R)
+            assert chain.rests(R) == fresh.rests(R), (params, R)
 
 
 def test_enumeration_budget_guard():
@@ -488,6 +580,12 @@ def test_chain_refuses_a_unit_rank_within_rounding_of_minus_one():
     # walk did (by its tail closure), rather than divide by it
     with pytest.raises(RefusalError, match="too close to -1"):
         total_mass(CLParams(2, -0.9999999999999999))
+    # the shared chain refuses alike on every call and keeps no partial rank
+    chain = rank_chain(CLParams(2, -0.9999999999999999))
+    for _ in range(2):
+        with pytest.raises(RefusalError, match="too close to -1"):
+            chain.state(1)
+    assert (len(chain.states), len(chain.eta), len(chain.log_eta)) == (1, 1, 1)
 
 
 def test_total_mass_validation():
@@ -678,6 +776,7 @@ def test_chain_consumers_answer_without_the_dp_or_enumeration(monkeypatch):
 
 
 def test_independent_routes_answer_without_the_chain(monkeypatch, decimal_interval):
+    rank_chain.cache_clear()  # a chain kept from an earlier call would answer
     monkeypatch.setattr(RankChain, "__init__", _broken)
     monkeypatch.setattr(RankChain, "_grow", _broken)
     with pytest.raises(AssertionError):

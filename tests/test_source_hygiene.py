@@ -47,8 +47,9 @@ STRIP_TAIL_ALLOWED = {"measures.py", "__init__.py"}
 EXHAUSTIVE_ROUTES = ("aut_order_bruteforce", "aut_order_generating_tuples")
 ROUTES_MAY_SHARE = {"RefusalError", "BRUTEFORCE_MAX_ORDER"}
 HEAVY_IMPORTS = {"numpy", "mpmath"}
-SANDWICH_MAY_NOT_READ = {"RankChain", "rank_series", "level_stats_by_enumeration",
-                         "hall_sum_partial", "hall_tail_bounds", "iter_partitions"}
+SANDWICH_MAY_NOT_READ = {"RankChain", "rank_chain", "rank_series",
+                         "level_stats_by_enumeration", "hall_sum_partial",
+                         "hall_tail_bounds", "iter_partitions"}
 HALL_SUMS = ("hall_sum_partial", "hall_tail_bounds")
 # numerics.Record defines both over ``_fields``; its subclasses inherit them
 RECORD_EQUALITY = {"__eq__", "__hash__"}
@@ -271,7 +272,7 @@ def test_check_catches_shared_route_helpers():
 def test_entropy_sandwich_reads_no_chain_and_no_listing():
     tree = ast.parse((SRC / "entropy.py").read_text())
     # the guard sees the entropy module's own chain reader
-    assert "RankChain" in module_names_read(tree, "entropy")
+    assert "rank_chain" in module_names_read(tree, "entropy")
     assert module_names_read(tree, "entropy_bounds") & SANDWICH_MAY_NOT_READ == set()
     assert [name_reads(tree, name) for name in HALL_SUMS] == [[], []]
 
@@ -286,6 +287,15 @@ def test_check_catches_a_sandwich_reading_the_chain():
     )
     assert module_names_read(tree, "entropy_bounds") & SANDWICH_MAY_NOT_READ == {"RankChain"}
     assert [name_reads(tree, name) for name in HALL_SUMS] == [["line 1"], []]
+    # the shared chain, reached through a helper, counts as the chain
+    tree = ast.parse(
+        "from .measures import rank_chain\n"
+        "def helper(params):\n"
+        "    return rank_chain(params).through(3)\n"
+        "def entropy_bounds(params):\n"
+        "    return helper(params)\n"
+    )
+    assert module_names_read(tree, "entropy_bounds") & SANDWICH_MAY_NOT_READ == {"rank_chain"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
