@@ -44,9 +44,14 @@ from clentropy.measures import (
 from clentropy.numerics import (
     ONE,
     Interval,
+    iv_add,
+    iv_exp,
     iv_from_fraction,
     iv_from_int,
+    iv_log_int,
+    iv_neg,
     iv_point,
+    iv_sub,
 )
 from clentropy.partitions import iter_partitions
 
@@ -711,6 +716,45 @@ def test_chain_rank_sums_contain_the_cohen_lenstra_rank_law(p, u):
     chain = RankChain(CLParams(p, u))
     for r in range(7):
         assert chain.state(r)[0].contains(_rank_law(p, u, r)), (p, u, r)
+
+
+def _power_minus(p, t):
+    """Enclosure of p^-t for an Interval t, by numerics alone."""
+    return iv_exp(iv_neg(iv_mul(t, iv_log_int(p))))
+
+
+def _closed_rank_laws(p, u, a):
+    """Enclosures of the closed rank law and the corollary's N at rank a:
+
+    Z(a) = p^(-a(a+u)) / (prod_{i<=a} (1 - x_i) eta_a),
+    N(a) = Z(a) (a + sum_{i<=a} x_i / (1 - x_i)),   x_i = p^-(u+i),
+
+    built from numerics alone (no chain code is read)."""
+    u_iv = iv_point(float(u))
+    eta = iv_from_fraction(math.prod((1 - Fraction(1, p**i) for i in range(1, a + 1)), start=Fraction(1)))
+    denominator, visits = eta, iv_from_int(a)
+    for i in range(1, a + 1):
+        x = _power_minus(p, iv_add(u_iv, iv_from_int(i)))
+        free = iv_sub(ONE, x)
+        denominator = iv_mul(denominator, free)
+        visits = iv_add(visits, iv_div(x, free))
+    z = iv_div(_power_minus(p, iv_mul(iv_from_int(a), iv_add(u_iv, iv_from_int(a)))), denominator)
+    return z, iv_mul(z, visits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 97]),
+    st.floats(min_value=-0.99, max_value=10.0),
+    st.integers(1, 8),
+)
+def test_every_chain_state_meets_the_closed_rank_law_and_its_mean(p, u, a):
+    # per state, at every real u: Z(a) against the Cohen-Lenstra rank law
+    # and N(a) against the mean of n given the rank, a + sum x_i/(1 - x_i)
+    z, n = _closed_rank_laws(p, u, a)
+    state = RankChain(CLParams(p, u)).state(a)
+    assert state[0].overlaps(z), (state[0], z)
+    assert state[1].overlaps(n), (state[1], n)
 
 
 def test_chain_mean_order_exponent_is_the_closed_kl_sum(decimal_interval):
