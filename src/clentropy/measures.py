@@ -238,7 +238,8 @@ class _TransferDP:
     because the q-multinomial is an integer.
 
     The table is filled level by level and pulled on demand; a level
-    already built is a list lookup.
+    already built is a list lookup.  Threads may share a DP (``_transfer``),
+    so levels are built under a per-instance lock.
     """
 
     def __init__(self, p: int):
@@ -247,6 +248,7 @@ class _TransferDP:
         self.log_q = [ZERO]
         self.prefix = {}  # weight -> {last column: (value, p-exponent sum, {m: count sum})}
         self.levels = []  # n -> (R_n, R_n enclosure, S_n enclosure)
+        self.lock = threading.Lock()
 
     def _extend_q(self, n: int) -> None:
         q = self.q
@@ -257,8 +259,9 @@ class _TransferDP:
     def level(self, n: int) -> tuple[Fraction, Interval, Interval]:
         if n < 0:
             raise ValueError("level must be >= 0")
-        while len(self.levels) <= n:
-            self._build_level(len(self.levels))
+        with self.lock:
+            while len(self.levels) <= n:
+                self._build_level(len(self.levels))
         return self.levels[n]
 
     def _extend(self, acc: list, state: tuple, scale: int, c: int, m: int) -> None:

@@ -505,6 +505,38 @@ def test_threads_sharing_a_chain_build_each_rank_once():
             assert chain.rests(R) == fresh.rests(R), (params, R)
 
 
+def test_threads_sharing_a_level_dp_build_each_level_once():
+    # four threads pull the levels of one fresh DP in shuffled orders, at a
+    # short switch interval; unlocked, a level could read a prefix row that
+    # another thread has freed (KeyError) or be appended twice
+    dp = measures._TransferDP(2)
+    failures = []
+
+    def pull(seed):
+        try:
+            for n in random.Random(seed).sample(range(1, 31), 30):
+                dp.level(n)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=pull, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    fresh = measures._TransferDP(2)
+    assert len(dp.levels) == 31
+    for n in range(31):
+        assert dp.level(n) == fresh.level(n), n
+
+
 def test_enumeration_budget_guard():
     check_enumeration_budget(40)  # fine
     with pytest.raises(RefusalError):
