@@ -53,7 +53,6 @@ from .numerics import (
     iv_exp,
     iv_from_fraction,
     iv_from_int,
-    iv_log,
     iv_log_int,
     iv_mul,
     iv_mul_scalar,
@@ -471,6 +470,70 @@ def hall_tail_bounds(p: int, N: int) -> tuple[Interval, Interval]:
     return aut_tail, ord_tail
 
 
+# Plain-float rounding of the rank chain (``RankChain``): the unit roundoff,
+# libm's count (log, log1p and exp within 2 ulps, the assumption of
+# ``numerics``: a relative 4 eps), and the largest count of c_a the chain
+# accepts (gamma_k below 2^-5; a state's count is at most about twice the
+# largest c_a count plus a few per rank, so its gamma stays below 1/4).
+_EPS = 2.0**-53
+_LIBM = 4
+_MAX_COUNT = 2**48
+# A rest replaces a c_{R+1} below this by twice it: an upper bound that
+# keeps every factor of the rest a normal float.
+_REST_FLOOR = 2.0**-999
+
+
+def _units(rho: float) -> int:
+    """The least k with gamma_k >= rho; rho comes from a few float
+    operations, so it gets 2^-40 of relative slack."""
+    return math.ceil(rho * (1.0 + 2.0**-40) / _EPS)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k eps / (1 - k eps), to rounding (callers leave slack)."""
+    return k * _EPS / (1.0 - k * _EPS)
+
+
+@lru_cache(maxsize=1024)
+def _spread(k: int) -> float:
+    """An upper bound of gamma_k / (1 - gamma_k) = k eps / (1 - 2 k eps)."""
+    return math.nextafter(k * _EPS / (1.0 - 2 * k * _EPS), math.inf)
+
+
+@lru_cache(maxsize=1024)
+def _factor(k: int) -> float:
+    """An upper bound of 1 / (1 - gamma_k)."""
+    return math.nextafter(1.0 + _spread(k), math.inf)
+
+
+def _inflate(t: float, k: int) -> float:
+    """An upper bound of t / (1 - gamma_k), for t >= 0 within gamma_k of a
+    positive value: that value is below it."""
+    return math.nextafter(t * _factor(k), math.inf)
+
+
+def _rank_step(a, c, f, log_p, inv_eta, log_eta, floats):
+    """One rank of the float chain: (Z(a), N(a), G(a), S_G(a)) from the
+    ranks below, with w = c_a / eta_{a-b} and f = 1 + c_a = 1/(1 - x_a).
+    S_G is G's recursion on absolute values.  Only +, -, * and unary minus
+    are used, so a test can run it on numbers that count roundings."""
+    w = c * inv_eta[a]
+    z = w
+    g = w * log_eta[a]
+    s = -g
+    n = 0.0
+    for b in range(1, a):
+        zb, nb, gb, sb = floats[b]
+        w = c * inv_eta[a - b]
+        t = log_eta[a - b] * zb
+        z = z + w * zb
+        n = n + w * nb
+        g = g + w * (gb + t)
+        s = s + w * (sb - t)
+    a2lf = a * a * f * log_p
+    return z, a * f * z + n, a2lf * z + g, a2lf * z + s
+
+
 class RankChain:
     """Sums over the groups of each rank at one (p, u), by a chain over
     column lengths: no partition is listed and no closed form is read.
@@ -487,37 +550,121 @@ class RankChain:
     and is absorbed at 0.  Over the groups of rank a let Z(a), N(a), G(a) sum
     p^(-u n)/#Aut times 1, n and log #Aut.  With L = log p, Z(0) = 1,
     N(0) = G(0) = 0, and each self-loop closed geometrically (the
-    expectation semiring of Li & Eisner, EMNLP 2009, per start state):
+    expectation semiring of Li & Eisner, EMNLP 2009, per start state), with
+    c_a = x_a / (1 - x_a) and f_a = 1 + c_a = 1 / (1 - x_a):
 
-        Z(a) = sum_{b<a} w(a,b) Z(b) / (1 - x_a),
-        N(a) = (a Z(a) + sum_{b<a} w(a,b) N(b)) / (1 - x_a),
-        G(a) = (a^2 L Z(a) + sum_{b<a} w(a,b) (G(b) + log(eta_{a-b}) Z(b))) / (1 - x_a).
+        Z(a) = sum_{b<a} (c_a / eta_{a-b}) Z(b),
+        N(a) = a f_a Z(a) + sum_{0<b<a} (c_a / eta_{a-b}) N(b),
+        G(a) = a^2 L f_a Z(a) + sum_{b<a} (c_a / eta_{a-b}) (G(b) + log(eta_{a-b}) Z(b)).
 
     Only x_a depends on u: one code path serves integral and non-integral u.
 
-    Rests past rank R >= 1 (``rests``).  With c_a = x_a / (eta_inf (1 - x_a))
+    Rounding.  The recursion runs in plain floats (``_rank_step``) and
+    each state is enclosed once.  With eps = 2^-53 and
+    gamma_k = k eps / (1 - k eps) (Higham 2002, §3.1), every rounded +, -,
+    * or / multiplies the exact result by 1 + delta, |delta| <= eps, and
+    such factors combine: (1 + theta_j)(1 + theta_k) = 1 + theta_{j+k},
+    |theta_k| <= gamma_k.  A value formed along paths of at most k rounded
+    operations from inputs is the sum of the terms of its expansion, each
+    times its own 1 + theta_k; an input within gamma_j of exact, relatively,
+    counts j.  So the value is within gamma_k S of exact, S the sum of the
+    absolute values of the terms.  The inputs, each rounded once from an
+    exact rational or from libm (its results within 2 ulps, the assumption
+    of ``numerics``: a relative 4 eps, count 4):
+
+    * 1/eta_m = p^(m(m+1)/2) / q_m, q_m = prod_{k<=m} (p^k - 1): one
+      correctly rounded quotient of integers, count 1.
+    * log eta_m = log1p(y), y = eta_m - 1 rounded once from the rational:
+      log1p's condition number |y / ((1 + y) log1p(y))| is below 2 on
+      y >= eta_inf - 1 > -0.72, so count 2 + 4 = 6.
+    * L = log p: count 4.
+    * c_a.  At integral u, c_a = 1 / (p^(a(a+u)) - 1): count 1, and
+      f_a = 1 + c_a counts 2 (c_a <= 1).  Otherwise, with j = floor(u),
+      x_a = p^(-a(a+j)) exp(-a (u - j) L).  The argument is rounded along
+      3 operations (u - j is exact unless -1 < u < 0) and L, so it is
+      within gamma_7 of exact and exp turns that into a relative e^(|arg| gamma_7 / (1 - gamma_7))
+      - 1; with libm's 4 and, where a + j > 0, the power's quotient and the
+      product, x_a counts j_a.
+      1 - x_a is formed by subtraction, which amplifies x_a's own error by
+      r = x_a / (1 - x_a) (cancellation near u = -1, where r is large):
+      c_a = x_a / (1 - x_a) is within gamma_j (1 + r) / (1 - gamma_j r) of
+      exact before its two roundings, and counts that over eps, rounded up,
+      plus 2.  Where 1 - x_a is not certified positive, gamma_j r >= 1/2 or
+      that count passes 2^48, the unit-rank is too close to -1 and the chain
+      refuses.  f_a = 1 + c_a errs by c_a's error times c_a / (1 + c_a)
+      and one rounding: it counts kf = gamma_kc c_a / (1 + c_a) over eps,
+      rounded up, plus 1.
+
+    The step counts one per operation along each path.  With kc the count
+    of c_a and kw = kc + 2 that of w = c_a / eta_m, the sums over b run
+    upward and their last term dominates (every count rises by at least 1
+    per rank), so
+
+        k_Z(a) = kw (a = 1),  kw + k_Z(a-1) + 2 (a > 1),
+        k_N(a) = max(kf + 2 + k_Z(a), kw + k_N(a-1) + 2) + 1,
+        k_G(a) = max(kf + 7 + k_Z(a), kw + max(k_G(a-1), k_Z(a-1) + 7) + 3) + 1,
+
+    where at a = 1 the second entry of k_N is 0 (no term) and that of k_G is
+    kw + 7 (the b = 0 term w log eta_1).  Z and N sum nonnegative terms, so
+    their S is the value itself; G mixes signs through log eta_m < 0, so the
+    step carries S_G, the same recursion on absolute values.  A computed S
+    is at least 1 - gamma_k times the exact one, so each state is enclosed
+    as v +- S gamma_k / (1 - gamma_k), rounded outward.
+
+    Underflow.  Past rank 32 at p = 2 (sooner for larger p or u), x_a and
+    the products are subnormal or 0, and a product or quotient then errs by
+    up to 2^-1075 absolutely rather than relatively (sums of subnormals are
+    exact).  An absolute term E_a, carried in units of 2^-1074, bounds that
+    error in Z(a), N(a), G(a) and S_G(a) at once: c_a errs by at most 8 f_a
+    units (1 at integral u), so w by 30 f_a; each b adds w's error times the
+    largest multiplicand B (2.5 times the largest earlier |state|), one unit
+    for log(eta) Z(b) times the largest w, W = 4 c_a, and one for its own
+    product; the E_b below enter times 2.25 W; the closing products add
+    a f_a or a^2 L f_a times that and one unit; all of it is doubled for
+    the 1 + theta factors on those terms.  Each state widens by 2 E_a.
+
+    Rests past rank R >= 1 (``rests``).  With c'_a = x_a / (eta_inf (1 - x_a))
     and s_a = sum_{b<=a} b / (1 - x_b):
 
-    * Z(a) <= c_a sum_{b<a} Z(b), since eta_{a-b} >= eta_inf;
+    * Z(a) <= c'_a sum_{b<a} Z(b), since eta_{a-b} >= eta_inf;
     * N(a) <= s_a Z(a): the chain visits state b a geometric number of
       times, of mean at most 1/(1 - x_b), and each visit adds b to n;
     * G(a) <= a L N(a), since log #Aut <= L sum mu_j^2 <= L a n.
 
-    Every partial sum of Z is below B = M_R exp(sum_{a>R} c_a), M_R the sum
-    over a <= R (rank a multiplies it by at most 1 + c_a), and x_b falls in
+    Every partial sum of Z is below B = M_R exp(sum_{a>R} c'_a), M_R the sum
+    over a <= R (rank a multiplies it by at most 1 + c'_a), and x_b falls in
     b, so s_a <= P(a) = s_R + a(a+1) / (2 (1 - x_{R+1})) for a > R.  For
-    a > R, c_{a+1}/c_a <= p^-(2a+1+u) and a polynomial with nonnegative
+    a > R, c'_{a+1}/c'_a <= p^-(2a+1+u) and a polynomial with nonnegative
     coefficients and degree <= 3 grows by at most ((a+1)/a)^3 per step, so
     each rest is dominated by a geometric series of ratio
 
         rho = p^-(2R+3+u) ((R+2)/(R+1))^3 < 2^-4 (3/2)^3 < 0.22
 
     (2R + 3 + u > 4, and both factors fall as R grows): the closure cannot
-    fail.  So with T = B c_{R+1} / (1 - rho), sum_{a>R} c_a <= c_{R+1} /
+    fail.  So with T = B c'_{R+1} / (1 - rho), sum_{a>R} c'_a <= c'_{R+1} /
     (1 - rho) inside B and eta_inf >= eta_{R+1} (1 - p^-(R+1) / (p-1)):
 
         sum_{a>R} Z(a) <= T,  sum_{a>R} N(a) <= T P(R+1),
         sum_{a>R} G(a) <= T P(R+1) (R+1) L.
+
+    Each rest is a product of positive factors, formed in floats and
+    counted like a state: M_R is the upper end of the enclosed mass (exact,
+    count 0), 1/(eta_{R+1} (1 - p^-(R+1) / (p-1))) one quotient of
+    integers (count 1), rho = x_1 p^-(2R+2) ((R+2)/(R+1))^3 counts k_1 + 4
+    (k_1 that of x_1), and 1 - rho counts gamma_{k_1+4} rho / (1 - rho)
+    over eps, rounded up, plus 1 (k_free), with rho replaced by an upper
+    bound.  Then C = sum c'_a <= c_{R+1} / (eta_inf (1 - rho)) counts
+    k_C = kc + 2 k_free + 3; exp(C) adds libm's 4 and the relative
+    e^(C gamma / (1 - gamma)) - 1 that C's own error becomes (C replaced by
+    an upper bound), and T = M_R exp(C) C counts k_T = that + k_C + 2.
+    P(R+1) = s_R + (R+1)(R+2)/2 f_{R+1} counts max(k_s, kf + 1) + 1, k_s
+    that of the float s_R, so T P(R+1) counts k_T + max(k_s, kf + 1) + 2,
+    and the G rest 2 more products and L's 4.  Each computed rest t is
+    within gamma_m of its exact value T, so T <= t / (1 - gamma_m): it is
+    inflated once and rounded up.  A c_{R+1} below 2^-999 (in floats) is
+    replaced by 2^-998, above the exact c_{R+1} with every error included,
+    with kc = 0 and kf = 1, so every factor is a normal float and each
+    count holds.
 
     A chain keeps every state and rest it builds: asking again is a lookup
     with the same bits.  Threads may share a chain (``rank_chain``), so its
@@ -526,40 +673,97 @@ class RankChain:
 
     def __init__(self, params: CLParams):
         self.p = params.p
-        self.exponent = params.exponent
-        self.L = iv_log_int(params.p)
-        self.eta = [ONE]  # eta_m
-        self.log_eta = [ZERO]
-        self.states = [(ONE, ZERO, ZERO)]  # a -> (Z(a), N(a), G(a))
+        self.u = params.u
+        self.integral = params.integral
+        self.log_p = math.log(params.p)
+        self.x1 = self._power(1)
+        self.loops = {}  # a -> _loop(a)
+        self.q = [1]  # q_m
+        self.inv_eta = [1.0]  # 1/eta_m
+        self.log_eta = [0.0]  # log eta_m
+        self.floats = [(1.0, 0.0, 0.0, 0.0)]  # a -> computed (Z, N, G, S_G)
+        self.counts = [(0, 0, 0)]  # a -> (k_Z, k_N, k_G)
+        self.slack = [0.0]  # a -> E_a, in units of 2^-1074
+        self.states = [(ONE, ZERO, ZERO)]  # a -> enclosed (Z(a), N(a), G(a))
         self.sums = [(ONE, ZERO, ZERO)]  # R -> their sums over the ranks <= R
-        self.visits = [ZERO]  # R -> s_R
+        self.visits = [(0.0, 0)]  # R -> computed s_R and its count
+        self.peak = 1.0  # the largest computed Z, N or S_G so far
         self.rest_bounds = {}  # R -> rests(R)
         self.lock = threading.Lock()
 
-    def _loop(self, a: int) -> Interval:
-        """x_a = p^(-a(a+u)), the self-loop weight of state a."""
-        return iv_mul(iv_recip_int(self.p ** (a * a)), pow_p_minus(self.p, self.exponent, a))
+    def _power(self, a: int) -> tuple[float, int]:
+        """x_a = p^(-a(a+u)), rounded, and its count."""
+        p, u = self.p, self.u
+        if self.integral:
+            return 1 / p ** (a * (a + u)), 1
+        j = math.floor(u)  # x_a = p^(-a(a+j)) exp(-a (u - j) L), 0 <= u - j < 1
+        arg = a * (u - j) * self.log_p
+        x = math.exp(-arg)
+        k = _LIBM + _units(math.expm1(arg * _spread(7)))
+        if a + j:
+            x *= 1 / p ** (a * (a + j))
+            k += 2
+        return x, k
+
+    def _loop(self, a: int) -> tuple[float, int, int]:
+        """c_a = x_a / (1 - x_a), rounded, its count, and the count of
+        1 + c_a; refuses where 1 - x_a is not certified positive."""
+        if a in self.loops:
+            return self.loops[a]
+        if self.integral:  # c_a <= 1, so 1 + c_a is within gamma_1 / 2 + eps
+            self.loops[a] = 1 / (self.p ** (a * (a + self.u)) - 1), 1, 2
+            return self.loops[a]
+        x, k = self._power(a)
+        x_up = _inflate(x, k) + 2.0**-1000
+        if not x_up < 1.0:
+            raise too_close_to_minus_one(self.p)
+        r = x_up / (1.0 - x_up)
+        gamma = _gamma(k)
+        if not gamma * r < 0.5:
+            raise too_close_to_minus_one(self.p)
+        c, kc = x / (1.0 - x), _units(gamma * (1.0 + r) / (1.0 - gamma * r)) + 2
+        if kc > _MAX_COUNT:
+            raise too_close_to_minus_one(self.p)
+        c_up = _inflate(c, kc)
+        self.loops[a] = c, kc, _units(_gamma(kc) * c_up / (1.0 + c_up)) + 1
+        return self.loops[a]
 
     def _grow(self) -> None:
         a = len(self.states)
-        x = self._loop(a)
-        free = iv_sub(ONE, x)
-        if not free.lo > 0.0:  # rank 1 at a u within rounding of -1
-            raise too_close_to_minus_one(self.p)
-        self.eta.append(iv_mul(self.eta[-1], iv_sub(ONE, iv_recip_int(self.p**a))))
-        self.log_eta.append(iv_log(self.eta[-1]))
-        z = n = g = ZERO
-        for b, (zb, nb, gb) in enumerate(self.states):
-            w = iv_div(x, self.eta[a - b])
-            z = iv_add(z, iv_mul(w, zb))
-            n = iv_add(n, iv_mul(w, nb))
-            g = iv_add(g, iv_mul(w, iv_add(gb, iv_mul(self.log_eta[a - b], zb))))
-        z = iv_div(z, free)
-        n = iv_div(iv_add(iv_mul_scalar(z, float(a)), n), free)
-        g = iv_div(iv_add(iv_mul(iv_mul_scalar(self.L, float(a * a)), z), g), free)
-        self.states.append((z, n, g))
-        self.sums.append(tuple(iv_add(s, t) for s, t in zip(self.sums[-1], (z, n, g))))
-        self.visits.append(iv_add(self.visits[-1], iv_div(iv_from_int(a), free)))
+        c, kc, kf = self._loop(a)  # refuses before anything is appended
+        f = 1.0 + c
+        p = self.p
+        q = self.q[-1] * (p**a - 1)
+        top = p ** (a * (a + 1) // 2)
+        self.q.append(q)
+        self.inv_eta.append(top / q)
+        self.log_eta.append(math.log1p((q - top) / top))
+        z, n, g, s = _rank_step(a, c, f, self.log_p, self.inv_eta, self.log_eta, self.floats)
+
+        kw = kc + 2
+        if a == 1:
+            kz, kn, kg = kw, 0, kw + 7
+        else:
+            kz0, kn0, kg0 = self.counts[-1]
+            kz, kn, kg = kw + kz0 + 2, kw + kn0 + 2, kw + max(kg0, kz0 + 7) + 3
+        kn, kg = max(kf + 2 + kz, kn) + 1, max(kf + 7 + kz, kg) + 1
+
+        a2lf = a * a * f * self.log_p
+        width = 2.5 * self.peak
+        w_top = 4.0 * c + 2.0**-1000
+        drift = a * (30.0 * f * width + w_top + 1.0) + 2.25 * w_top * sum(self.slack)
+        slack = 2.0 * ((max(a * f, a2lf) + 1.0) * drift + 1.0)
+        absolute = 2.0 * math.nextafter(math.ldexp(slack, -1074), math.inf)
+
+        self.floats.append((z, n, g, s))
+        self.counts.append((kz, kn, kg))
+        self.slack.append(slack)
+        self.peak = max(self.peak, z, n, s)
+        self.states.append(tuple(_enclose(v, k, t, absolute)
+                                 for v, k, t in ((z, kz, z), (n, kn, n), (g, kg, s))))
+        self.sums.append(tuple(iv_add(s, t) for s, t in zip(self.sums[-1], self.states[-1])))
+        v, kv = self.visits[-1]
+        self.visits.append((v + a * f, max(kv, kf + 1) + 1))
 
     def state(self, a: int) -> tuple[Interval, Interval, Interval]:
         """(Z(a), N(a), G(a))."""
@@ -580,22 +784,36 @@ class RankChain:
         if R in self.rest_bounds:
             return self.rest_bounds[R]
         p, q = self.p, R + 1
-        mass = self.through(R)[0]
-        x = self._loop(q)
-        free = iv_sub(ONE, x)
-        eta = iv_mul(self.eta[R], iv_sub(ONE, iv_recip_int(p**q)))
-        eta_inf = iv_mul(eta, iv_sub(ONE, iv_recip_int(p**q * (p - 1))))
-        rho = iv_mul(
-            iv_mul(iv_recip_int(p ** (2 * R + 3)), pow_p_minus(p, self.exponent, 1)),
-            iv_pow_int(iv_div(iv_from_int(R + 2), iv_from_int(q)), 3),
-        )
-        c_sum = iv_div(iv_div(x, iv_mul(eta_inf, free)), iv_sub(ONE, Interval(rho.hi, rho.hi)))
-        t_z = iv_mul(iv_mul(mass, iv_exp(c_sum)), c_sum)
-        poly = iv_add(self.visits[R], iv_div(iv_from_int(q * (q + 1) // 2), free))
-        t_n = iv_mul(t_z, poly)
-        t_g = iv_mul(iv_mul_scalar(t_n, float(q)), self.L)
-        self.rest_bounds[R] = tuple(Interval(0.0, t.hi) for t in (t_z, t_n, t_g))
+        mass = self.through(R)[0].hi
+        c, kc, kf = self._loop(q)
+        if c < _REST_FLOOR:  # 2^-998 is above c_{R+1}, rounding included
+            c, kc, kf = 2.0 * _REST_FLOOR, 0, 1
+        pq = p**q
+        inv_eta_inf = (p ** (q * (q + 1) // 2) * pq * (p - 1)
+                       / (self.q[R] * (pq - 1) * (pq * (p - 1) - 1)))
+        x1, k1 = self.x1
+        rho = x1 * (1 / p ** (2 * R + 2)) * ((R + 2) ** 3 / q**3)
+        rho_up = _inflate(rho, k1 + 4)
+        k_free = _units(_gamma(k1 + 4) * rho_up / (1.0 - rho_up)) + 1
+        c_sum = c * inv_eta_inf / (1.0 - rho)
+        k_sum = kc + 2 * k_free + 3
+        k_z = _LIBM + _units(math.expm1(_inflate(c_sum, k_sum) * _spread(k_sum))) + k_sum + 2
+        v, kv = self.visits[R]
+        k_n = k_z + max(kv, kf + 1) + 2
+        t_z = mass * math.exp(c_sum) * c_sum
+        t_n = t_z * (v + q * (q + 1) // 2 * (1.0 + c))
+        t_g = t_n * q * self.log_p
+        self.rest_bounds[R] = tuple(
+            Interval(0.0, _inflate(t, m)) for t, m in ((t_z, k_z), (t_n, k_n), (t_g, k_n + 6)))
         return self.rest_bounds[R]
+
+
+def _enclose(value: float, k: int, size: float, absolute: float) -> Interval:
+    """value +- (size gamma_k / (1 - gamma_k) + absolute), rounded outward and
+    cut at 0 (every chain state is a sum of nonnegative terms)."""
+    radius = math.nextafter(math.nextafter(_spread(k) * size, math.inf) + absolute, math.inf)
+    return Interval(max(math.nextafter(value - radius, -math.inf), 0.0),
+                    math.nextafter(value + radius, math.inf))
 
 
 @lru_cache(maxsize=RANK_CHAIN_MEMO)

@@ -11,7 +11,10 @@ rounding-mode trickery.
 ``log``, ``log1p`` and ``exp`` go through libm, whose worst observed error
 on the platforms we target is about one ulp; their endpoints are widened by
 two ulps to be safe.  That is an assumption about libm, not a proof: the
-tests hold it against 50-digit mpmath.  Integer-valued helpers (``iv_from_int``, ``iv_log_int``,
+tests hold it against 50-digit mpmath.  It has two consumers: the interval
+functions here, and the plain-float rank chain (``measures.RankChain``),
+which counts each libm result as a relative error of 4 eps in its a-priori
+rounding counts.  Integer-valued helpers (``iv_from_int``, ``iv_log_int``,
 ``iv_recip_int``) accept arbitrary-precision integers, so callers can feed
 exact group orders and automorphism counts of thousands of bits straight in.
 

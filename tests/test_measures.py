@@ -622,7 +622,8 @@ def test_chain_refuses_a_unit_rank_within_rounding_of_minus_one():
     for _ in range(2):
         with pytest.raises(RefusalError, match="too close to -1"):
             chain.state(1)
-    assert (len(chain.states), len(chain.eta), len(chain.log_eta)) == (1, 1, 1)
+    per_rank = ("states", "sums", "floats", "counts", "slack", "q", "inv_eta", "log_eta", "visits")
+    assert {name: len(getattr(chain, name)) for name in per_rank} == dict.fromkeys(per_rank, 1)
 
 
 def test_total_mass_validation():
