@@ -142,7 +142,7 @@ def partial_product(p: int, s, k: int) -> Interval:
     return prod
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _normalizing_constant_cached(p: int, u, J: int) -> Interval:
     partial = partial_product(p, u, J)
     # Omitted factors: log(1-x) >= -x/(1-x) gives
@@ -167,6 +167,7 @@ def normalizing_constant(params: CLParams, J: int = 64) -> Interval:
     is < 1); the lower bound multiplies in exp of a geometric bound on the
     omitted log-sum.  J = 64 leaves a relative deficit below 2^-64 for every
     p and u >= 0, far inside the partial product's own rounding width.
+    Enclosures are kept in an LRU memo of 1024, keyed by (p, u, J).
     """
     if J < 1:
         raise ValueError("truncation depth J must be >= 1")
@@ -839,10 +840,20 @@ def rank_series(
     refuses, naming itself and ``where``.  The rest is formed first at each
     R, and the partial sum only where the rest is below ``target``: that
     test alone decides the cutoffs it skips.
+
+    The rest is formed in floats.  F, |w| and the rests are all >= 0, so
+    the upper end of each interval product or sum is the float product or
+    sum of upper ends, rounded up once; the loop makes the roundings of
+    ``iv_mul(F, _weighted(|w|, rests)).hi`` in its order, from 0.0 as
+    ``iv_add(ZERO, .)`` starts, so the two agree bit for bit.
     """
-    sizes = [iv_abs(w) for w in weights]
+    sizes = [iv_abs(w).hi for w in weights]
+    up = math.inf
     for R in range(1, MAX_RANK + 1):
-        rest = iv_mul(F, _weighted(sizes, chain.rests(R))).hi
+        rest = 0.0
+        for size, total in zip(sizes, chain.rests(R)):
+            rest = math.nextafter(rest + math.nextafter(size * total.hi, up), up)
+        rest = math.nextafter(F.hi * rest, up)
         if rest < target:
             value = iv_mul(F, _weighted(weights, chain.through(R)))
             if rest <= value.width:

@@ -26,10 +26,12 @@ check of the closed form.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import too_close_to_minus_one
 from .groups import is_prime
 from .measures import (
+    RANK_CHAIN_MEMO,
     CLParams,
     auto_product_depth,
     normalizing_constant,
@@ -131,9 +133,11 @@ def _log_ratio_sum(p: int, s, k: int) -> Interval:
     return acc
 
 
+@lru_cache(maxsize=RANK_CHAIN_MEMO)
 def _reciprocal_power_sum(p: int, base, I: int) -> Interval:
     """Enclosure of sum_{i=1..I} log(p)/(p^{base+i} - 1) plus its tail:
-    the full series lies in [partial, partial + bound]."""
+    the full series lies in [partial, partial + bound].  Memoised: a warm
+    ``kl_closed`` at a known (p, u1) reads it back."""
     L = iv_log_int(p)
     acc = _log_ratio_sum(p, base, I)
     if isinstance(base, int) and base >= 0:

@@ -12,7 +12,9 @@ once, by an a-priori rounding count (its docstring has the proof).  Here:
 * the counts, recounted by running the chain's own step on numbers that
   count their roundings (``Counted``), and the inputs, held against
   50-digit mpmath within their counts;
-* underflow, past the first rank whose self-loop weight is subnormal.
+* underflow, past the first rank whose self-loop weight is subnormal;
+* the rest test of ``rank_series``, which runs in floats, against the
+  interval form it replaced, bit for bit.
 """
 
 import math
@@ -20,15 +22,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clentropy import CLParams, ZetaParams, zeta_product, zeta_sum
 from clentropy import measures
-from clentropy.measures import RankChain, pow_p_minus
+from clentropy.measures import RankChain, normalizing_constant, pow_p_minus, rank_chain
 from clentropy.numerics import (
     ONE,
     ZERO,
+    Interval,
+    iv_abs,
     iv_add,
     iv_div,
     iv_exp,
@@ -345,3 +349,58 @@ def test_states_past_the_first_subnormal_rank(p, u):
         for got, want in zip(chain.state(a), oracle.state(a)):
             assert got.hi > 0.0 and got.overlaps(want), (a, got, want)
     assert chain.through(first + 3)[0].overlaps(oracle.sums[first + 3][0])
+
+
+# ------------------------------------------------------------ the rest test
+
+
+class FixedRests:
+    """A chain with the same rests at every cutoff and sums so wide that the
+    partial sum never holds ``rank_series`` back: with an infinite target it
+    stops at R = 1 and returns its rest test's value."""
+
+    def __init__(self, rests):
+        self.fixed = tuple(rests)
+
+    def rests(self, R):
+        return self.fixed
+
+    def through(self, R):
+        return tuple(Interval(-(2.0**64) * max(1.0, t.hi), 2.0**64 * max(1.0, t.hi))
+                     for t in self.fixed)
+
+
+def signed(magnitude, negative):
+    return -magnitude if negative else magnitude
+
+
+MAGNITUDES = st.one_of(st.floats(min_value=2.0**-1000, max_value=2.0**500),
+                       st.sampled_from([0.0, 5e-324, 2.0**-1022, 1.0]))
+SIGNED = st.builds(signed, MAGNITUDES, st.booleans())
+WEIGHTS = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda x: Interval(x, x), SIGNED),
+    st.builds(lambda a, b: Interval(min(a, b), max(a, b)), SIGNED, SIGNED),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 97]),
+    st.one_of(st.floats(min_value=-0.99, max_value=10.0), st.integers(0, 10)),
+    st.integers(1, 40),
+    st.booleans(),
+    st.tuples(WEIGHTS, WEIGHTS, WEIGHTS),
+    st.integers(8, 64),
+)
+@example(2, 0, 33, False, (ONE, ZERO, ZERO), 64)  # c_34 < 2^-999: the floor's rests
+@example(2, 0.5, 40, False, (Interval(-1.0, 2.0), ZERO, Interval(-3.0, -3.0)), 20)
+@example(3, 1, 5, True, (ONE, ZERO, ZERO), 30)  # the shapes of test_measures' _FakeChain
+def test_float_rest_test_is_the_interval_rest_bit_for_bit(p, u, R, fake, weights, J):
+    params = CLParams(p, u)
+    F = normalizing_constant(params, J)
+    rests = (Interval(0.0, 1.0 / R), ONE, ONE) if fake else rank_chain(params).rests(R)
+    oracle = iv_mul(F, measures._weighted([iv_abs(w) for w in weights], rests)).hi
+    assert math.isfinite(oracle)
+    got = measures.rank_series(FixedRests(rests), F, weights, math.inf, "test", "")
+    assert got[0] == 1 and got[2].hex() == oracle.hex(), (got[2], oracle)

@@ -469,6 +469,37 @@ def test_chain_memo_stays_at_its_bound():
     rank_chain.cache_clear()
 
 
+def test_normalizing_constant_memo_stays_at_its_bound():
+    # the F_u memo is keyed by (p, u, J): a long-lived process that asks
+    # many distinct u must not grow it without limit
+    memo = measures._normalizing_constant_cached
+    memo.cache_clear()
+    maxsize = memo.cache_info().maxsize
+    assert maxsize is not None
+    for i in range(maxsize + 10):
+        normalizing_constant(CLParams(3, 0.5 + i / 4096), 8)
+    assert memo.cache_info().currsize == maxsize
+    memo.cache_clear()
+
+
+def test_normalizing_constant_from_a_cleared_memo_has_the_warm_bits():
+    cases = [(CLParams(2, 0), 46), (CLParams(3, 0.5), 28), (CLParams(3, -0.5), 64),
+             (CLParams(97, 10), 8)]
+    memo = measures._normalizing_constant_cached
+
+    def bits():
+        return [(F.lo.hex(), F.hi.hex()) for F in
+                (normalizing_constant(params, J) for params, J in cases)]
+
+    memo.cache_clear()
+    cold = bits()
+    assert memo.cache_info().currsize == len(cases)
+    warm = bits()
+    assert memo.cache_info().hits == len(cases)
+    memo.cache_clear()
+    assert cold == warm == bits()
+
+
 def test_threads_sharing_a_chain_build_each_rank_once():
     # four threads grow the chains of a cleared memo at once, at a short
     # switch interval; a rank appended twice would shift every later state

@@ -19,6 +19,8 @@ from clentropy import (
     zeta_product,
     zeta_sum,
 )
+from clentropy import zeta
+from clentropy.measures import RANK_CHAIN_MEMO
 from clentropy.numerics import ONE, Interval, iv_add, iv_div, iv_neg
 
 
@@ -256,3 +258,35 @@ def test_cross_entropy_diagonal_is_entropy():
     cross = cross_entropy_direct(2, 1, 1, tol=1e-6)
     h = entropy(CLParams(2, 1), eps=1e-7)
     assert cross.enclosure().overlaps(h.H.value.widened(1e-6))
+
+
+# ------------------------------------------------------- the closed KL's memo
+
+
+def _kl_bits(result):
+    return (result.value.lo.hex(), result.value.hi.hex(), result.truncation_level)
+
+
+@pytest.mark.parametrize("p, u1, u2", [(2, 0, 1), (3, 0.5, -0.5), (5, 2, 2.5), (97, 10, 11)])
+def test_closed_kl_from_a_cleared_series_memo_has_the_warm_bits(p, u1, u2):
+    # the series sum_i log(p)/(p^(u1+i) - 1) depends only on (p, u1) and its
+    # depth: a warm call reads it back and must give the bits a cold one does
+    memo = zeta._reciprocal_power_sum
+    memo.cache_clear()
+    cold = _kl_bits(kl_closed(p, u1, u2))
+    assert memo.cache_info().misses == 1
+    warm = _kl_bits(kl_closed(p, u1, u2))
+    assert memo.cache_info().hits == 1
+    memo.cache_clear()
+    assert cold == warm == _kl_bits(kl_closed(p, u1, u2))
+
+
+def test_closed_kl_series_memo_is_shared_and_bounded():
+    memo = zeta._reciprocal_power_sum
+    memo.cache_clear()
+    first = _kl_bits(kl_closed(2, 1, 0))
+    assert _kl_bits(kl_closed(2, 1.0, 0)) == first  # CLParams(2, 1.0) is CLParams(2, 1)
+    info = memo.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    assert info.maxsize is not None and info.maxsize <= RANK_CHAIN_MEMO
+    memo.cache_clear()
